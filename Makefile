@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-compare bench-json trajectory-gate sweep-smoke serve-smoke faults-smoke shard-smoke autoscale-smoke stream-smoke scaling-smoke figures report examples clean
+.PHONY: install test bench bench-smoke bench-compare bench-json trajectory-gate sweep-smoke serve-smoke faults-smoke shard-smoke autoscale-smoke stream-smoke scaling-smoke perfbench-selftest figures report examples clean
 
 # perf-trajectory entry number for `make bench-json` (BENCH_$(PR).json)
 PR ?= 10
@@ -87,6 +87,11 @@ stream-smoke:
 # its served set is Theta(beta*n) by definition)
 scaling-smoke:
 	$(PYTHON) scripts/scaling_smoke.py
+
+# self-test of the repo benchmark (perfbench/): the workloads run at
+# tiny size, their reference rows and metric definitions are checked
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench/test_perfbench.py -q
 
 figures:
 	$(PYTHON) -m repro.cli figures

@@ -27,17 +27,20 @@ and every :attr:`FlowSimConfig.check_every_k`-th thereafter, so simulation
 bugs still fail loudly without paying four array passes per event.  Tests
 that exercise the checks set ``check_every_k=1``.
 
-The hot loop is a flat structure-of-arrays: the active set lives in
-persistent, id-sorted parallel buffers (ids / remaining / caps / tol /
-work / release) that the event loop reads and updates in place — no
-per-event gathers against the master job table.  Policies that implement
-the vectorized :meth:`~repro.flowsim.policies.base.Policy.rates_array`
-hook are fed those buffers directly; the engine materializes an
+There is one event loop (``FlowStepper._run``), which both entry points
+drive.  Its active set is a flat structure-of-arrays: persistent,
+id-sorted parallel buffers (ids / remaining / caps / tol / work /
+release) read and updated in place — no per-event gathers against the
+master job table.  Order-driven policies switch to an O(log n) backing
+(:mod:`repro.flowsim.order`) once their active set grows past a
+threshold.  Policies that implement the vectorized
+:meth:`~repro.flowsim.policies.base.Policy.rates_array` hook are fed the
+buffers directly; the engine materializes an
 :class:`~repro.flowsim.policies.base.ActiveView` only for policy hooks,
-timers, and the object-path fallback.  Policies declaring
-:attr:`~repro.flowsim.policies.base.Policy.rates_stable` have their rate
-vector reused until the composition of the active set changes.
-``ScheduleResult.extra["perf"]`` reports what the caches did
+timers, and policies that only implement ``rates(view)``.  Policies
+declaring :attr:`~repro.flowsim.policies.base.Policy.rates_stable` have
+their rate vector reused until the composition of the active set
+changes.  ``ScheduleResult.extra["perf"]`` reports what the caches did
 (:class:`repro.perf.PerfCounters`).
 """
 
@@ -69,6 +72,9 @@ __all__ = [
 _RATE_TOL = 1e-7
 #: relative clock tolerance used when admitting arrivals that are "due now"
 _ADMIT_TOL = 1e-15
+_INF = float("inf")
+#: the order backing's allocation while every processor is down
+_NO_ALLOC = (np.empty(0, dtype=np.int64), np.empty(0, dtype=float), 0.0)
 
 
 class FlowSimError(RuntimeError):
@@ -151,27 +157,8 @@ class FlowSimConfig:
     while removing four full array passes from the steady-state hot loop;
     tests that exercise the checks directly set ``check_every_k=1``.
 
-    ``use_rates_array`` selects the vectorized policy path: policies that
-    implement :meth:`~repro.flowsim.policies.base.Policy.rates_array` are
-    called with the engine's flat active-set buffers instead of a
-    materialized :class:`~repro.flowsim.policies.base.ActiveView`.  Both
-    paths are bit-for-bit identical by contract (the golden tests and a
-    Hypothesis property pin this); ``False`` forces the object path, which
-    is mainly useful for equivalence testing.
-
-    ``use_batch_horizon`` enables the completion-horizon batch kernel:
-    when the policy opts in via
-    :attr:`~repro.flowsim.policies.base.Policy.batch_horizon` (and no
-    fault plan, timer, profile or segment recording intervenes),
-    :meth:`FlowStepper.drain` and :meth:`FlowStepper.advance_to` fold the
-    whole run of events between true decision points into one kernel pass
-    instead of one :meth:`FlowStepper.step` call per event.  The kernel
-    is bit-for-bit identical to the per-event path (goldens plus the
-    batched≡unit Hypothesis suite pin this); ``False`` forces per-event
-    stepping, which is mainly useful for equivalence testing.
-
-    ``use_incremental`` enables the O(log n) active-set kernels for
-    policies that declare an
+    ``use_incremental`` enables the O(log n) order backing of the event
+    loop for policies that declare an
     :class:`~repro.flowsim.policies.base.OrderSpec`: the engine maintains
     their priority order incrementally across admissions / completions /
     fault evictions (:class:`repro.flowsim.order.OrderIndex`), allocates
@@ -180,12 +167,13 @@ class FlowSimConfig:
     calendar (:class:`repro.flowsim.order.CompletionCalendar`) instead
     of the dense finish-time sweep — per-event work then scales with the
     *change*, not with ``n_active``.  Bit-for-bit identical to the dense
-    path by construction (goldens plus the incremental≡dense Hypothesis
-    suite pin it); ``False`` forces the dense ``np.lexsort`` path, which
-    is mainly useful for equivalence testing and A/B benches.
+    backing by construction (goldens plus the incremental≡dense
+    Hypothesis suite pin it); ``False`` keeps the dense ``np.lexsort``
+    backing, which is mainly useful for equivalence testing and A/B
+    benches.
 
-    ``incremental_min_active`` is the promotion threshold for those
-    kernels: the run starts on the dense paths and switches to the
+    ``incremental_min_active`` is the promotion threshold for that
+    backing: the run starts on the dense buffers and switches to the
     incremental structures the first time the active set reaches this
     many jobs (one O(n log n) build from the live buffers; promotion is
     one-way).  Below a thousand-odd active jobs one C-speed
@@ -194,9 +182,14 @@ class FlowSimConfig:
     default sits just under the measured crossover (~1.5k for SRPT and
     FIFO alike).  ``0`` promotes at construction (the pure-incremental
     mode the scaling benches and the equivalence suite measure).  The
-    switch is unobservable in results: both paths are bit-for-bit
+    switch is unobservable in results: both backings are bit-for-bit
     equal, so a promoted run composes two identical trajectory
     prefixes.
+
+    Every other execution choice — the vectorized ``rates_array`` hook
+    versus ``rates(view)``, sparse rate patches, the sparse segment
+    solve — is made by the engine from the policy and the run, never by
+    a knob, because all of them give the same trajectory.
     """
 
     completion_tol: float = 1e-9
@@ -205,8 +198,6 @@ class FlowSimConfig:
     use_profiles: bool = False
     record_segments: bool = False
     check_every_k: int = 32
-    use_rates_array: bool = True
-    use_batch_horizon: bool = True
     use_incremental: bool = True
     incremental_min_active: int = 1024
 
@@ -220,7 +211,7 @@ class FlowSimConfig:
 
 
 class _IncrementalCore:
-    """Engine-side state for the O(log n) active-set kernels.
+    """Engine-side state for the event loop's O(log n) order backing.
 
     One instance per run of a policy with an
     :class:`~repro.flowsim.policies.base.OrderSpec`.  Holds the live
@@ -238,7 +229,7 @@ class _IncrementalCore:
     ``alloc`` caches ``(positions, rates, rsum)`` — positions into the
     id-sorted active buffers, ascending; every cached rate is strictly
     positive, so the positions *are* the served set.  It is invalidated
-    (set to ``None``) at exactly the points the dense path drops
+    (set to ``None``) at exactly the points the dense backing drops
     ``_rates_cache``: any composition change.  Positions therefore stay
     valid for the cache's whole lifetime.
     """
@@ -271,26 +262,87 @@ class _IncrementalCore:
             return -k, -j
         return k, j
 
+    def insert(self, j: int, rem: float, work: float, rel: float,
+               tol: float) -> None:
+        """Track a job joining the active set (admission or fault resume)."""
+        self.order.insert(*self.key_tie(j, rem, work, rel))
+        if rem <= tol:
+            self.dust.append(j)
+        self.alloc = None
+
+    def drop(self, j: int, rem: float, work: float, rel: float) -> None:
+        """Forget a job leaving the active set (completion or eviction)."""
+        self.order.remove(*self.key_tie(j, rem, work, rel))
+        self.cal.discard(j)
+        self.cal_jobs.discard(j)
+        self.alloc = None
+
+    def predict(self, served: list[int], quotients: list[float]) -> float:
+        """Re-file the served jobs' completion quotients ``rem / eff`` and
+        return the earliest (``inf`` when nothing is served); entries of
+        jobs that left the served set are invalidated."""
+        cal = self.cal
+        newset = set(served)
+        for j in self.cal_jobs - newset:
+            cal.discard(j)
+        self.cal_jobs = newset
+        if not newset:
+            return _INF
+        for j, q in zip(served, quotients):
+            cal.update(j, q)
+        return cal.min_quotient()
+
+    def rekey(self, served: list[int], olds: list[float],
+              news: list[float]) -> None:
+        """Move the served jobs to their decremented remaining-work keys
+        (SRPT's order moves only where work was done)."""
+        order = self.order
+        neg = self.neg
+        for j, ov, nv in zip(served, olds, news):
+            if nv == ov:
+                continue
+            if neg:
+                order.remove(-ov, -j)
+                order.insert(-nv, -j)
+            else:
+                order.remove(ov, j)
+                order.insert(nv, j)
+
+    def take_dust(self, dpos: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Merge the dust set into the completion positions ``dpos``
+        (ascending positions into ``ids``).  A fault eviction may have
+        removed a dust job before any segment ran; such stale entries
+        are dropped."""
+        cand = set(dpos.tolist())
+        na = ids.size
+        for j in self.dust:
+            p = int(ids.searchsorted(j))
+            if p < na and ids[p] == j:
+                cand.add(p)
+        self.dust.clear()
+        return np.array(sorted(cand), dtype=np.int64)
+
 
 class FlowStepper:
     """Incremental, event-exact core of the flow-level simulator.
 
-    Drives one policy on an ``m``-processor machine one event at a time
-    and accepts new jobs *while the clock runs* — the foundation of both
+    Drives one policy on an ``m``-processor machine event by event and
+    accepts new jobs *while the clock runs* — the foundation of both
     the batch :func:`simulate` wrapper (register a whole trace, then
     :meth:`drain`) and the online serving layer (:mod:`repro.serve`),
     which submits jobs as they arrive over the wire.
 
-    The stepping semantics are identical to the historical batch loop;
-    :meth:`advance_to` additionally lets a caller bound a step by a
-    *horizon* so the clock can be parked at an arbitrary time ``t`` before
-    mutating the job set.  A horizon stop splits a constant-rate segment
-    in two, which changes nothing observable: job progress is linear in
-    time, ``Policy.rates`` is a pure function of the view, and randomness
-    only happens inside arrival/completion hooks.  When horizons coincide
-    with event times (e.g. submitting each job at exactly its release),
-    the trajectory — including every RNG draw — is *bit-for-bit* the same
-    as the batch run.
+    :meth:`drain` runs the event loop to the end; :meth:`advance_to`
+    bounds it by a *horizon* so the clock can be parked at an arbitrary
+    time ``t`` before mutating the job set.  A horizon stop splits a
+    constant-rate segment in two — one more event, and the split
+    progress may round differently — but leaves the schedule otherwise
+    unchanged: job progress is linear in time, ``Policy.rates`` is a
+    pure function of the view, and randomness only happens inside
+    arrival/completion hooks.  When horizons coincide with event times
+    (e.g. submitting each job at exactly its release), the trajectory —
+    including every RNG draw — is *bit-for-bit* the same as the batch
+    run.
 
     Jobs must be registered with dense ids ``0, 1, 2, ...`` in
     non-decreasing release order, and never released in the stepper's
@@ -390,9 +442,9 @@ class FlowStepper:
         # scratch for per-segment finish times (no job state — outside
         # the block, never compacted, contents dead between events)
         self._a_fin = np.zeros(cap, dtype=float)
-        # scratch backing the batch kernel's aligned rate vector: shifts
+        # scratch holding the event loop's aligned rate vector: shifts
         # and appends mutate it in place instead of reallocating per
-        # event (no job state; dead outside one kernel pass)
+        # event (no job state; dead outside one loop pass)
         self._vec_buf = np.zeros(cap, dtype=float)
         ids = sorted(int(j) for j in self._act_ids)
         base = self._base
@@ -408,7 +460,7 @@ class FlowStepper:
 
         self._rates_cache: tuple[np.ndarray, float] | None = None
         self._rate_calls = 0
-        self._max_events = 0  # 0 = recompute from config/_n on next step
+        self._max_events = 0  # 0 = recompute from config/_n on next run
         cfg = self.config
         self._check_k = cfg.check_every_k
         self._speed = float(cfg.speed)
@@ -422,14 +474,13 @@ class FlowStepper:
         )
         self._has_timer = ptype.next_timer is not Policy.next_timer
         self._has_fault_hook = ptype.on_fault is not Policy.on_fault
+        # policies without the vectorized hook are asked through
+        # rates(view) instead (MLF, SETF, random)
         self._rates_array_fn = (
             self.policy.rates_array
-            if cfg.use_rates_array
-            and ptype.rates_array is not Policy.rates_array
+            if ptype.rates_array is not Policy.rates_array
             else None
         )
-        # sparse complement used only by the batch kernel (the per-event
-        # path always rebuilds, so the two surfaces stay cross-checkable)
         self._rates_patch_fn = (
             self.policy.rates_array_patch
             if self._rates_array_fn is not None
@@ -441,29 +492,12 @@ class FlowStepper:
         self._rates_stable = (
             bool(self.policy.rates_stable) and not self.config.use_profiles
         )
-        # completion-horizon batch kernel eligibility: everything that
-        # could interleave a non-arrival/non-completion event (timers,
-        # fault points, profile breakpoints) or observe segment structure
-        # (record_segments) forces the per-event path; the policy opt-in
-        # carries the behavioral contract (see Policy.batch_horizon)
-        self._batch_ok = (
-            cfg.use_batch_horizon
-            and self._rates_stable
-            and self._rates_array_fn is not None
-            and getattr(self.policy, "batch_horizon", False)
-            and not self._has_timer
-            and not self._use_profiles
-            and not self._record_segments
-            and self.faults is None
-        )
-        # incremental order/calendar kernels: policies declaring an
-        # OrderSpec get their priority order maintained across events
-        # instead of re-lexsorted per rate rebuild.  Profiles move caps
-        # between events (the order alone no longer determines rates),
-        # timers need views anyway, segment recording wants the dense
-        # vector, and weighted policies fold a table the spec can't see
-        # — all of those fall back to the dense path, as does
-        # use_rates_array=False (the object-path equivalence mode).
+        # the order backing: policies declaring an OrderSpec get their
+        # priority order maintained across events instead of re-lexsorted
+        # per rate rebuild.  Profiles move caps between events (the order
+        # alone no longer determines rates), timers need views anyway,
+        # segment recording wants the dense vector, and weighted policies
+        # fold a table the spec can't see — all of those stay dense.
         spec = getattr(self.policy, "order_spec", None)
         self._inc: _IncrementalCore | None = None
         self._inc_spec = None
@@ -478,14 +512,6 @@ class FlowStepper:
         ):
             self._inc_spec = spec
         self._inc_min = int(cfg.incremental_min_active)
-        # the incremental batch kernel folds event runs like
-        # _batched_steps; faults interleave non-completion events, so
-        # they force per-event stepping (still incremental per event
-        # once promoted)
-        self._inc_kernel_allowed = (
-            cfg.use_batch_horizon and self.faults is None
-        )
-        self._inc_kernel_ok = False
         if self._inc_spec is not None and self._na >= self._inc_min:
             self._inc_promote()
         self.perf = PerfCounters()
@@ -541,12 +567,12 @@ class FlowStepper:
         return self._requeue_log
 
     def refresh_event_budget(self) -> None:
-        """Recompute the Zeno event budget on the next step.
+        """Recompute the Zeno event budget on the next advance.
 
         Callers that push dynamic fault actions (the autoscale loop's
         capacity changes and displacements) grow ``faults.n_points`` after
-        the budget was first cached; this makes the next :meth:`step`
-        re-derive it from the new count.
+        the budget was first cached; this makes the next
+        :meth:`advance_to` / :meth:`drain` re-derive it from the new count.
         """
         self._max_events = 0
 
@@ -799,38 +825,36 @@ class FlowStepper:
                     caps[k] = min(float(self.m), prof.cap_at(attained, tol=tol))
         return caps
 
-    def _segment_caps(
-        self, ids: np.ndarray, rem: np.ndarray
-    ) -> tuple[np.ndarray, int, float]:
-        """Effective ``(caps, m, speed)`` for the current segment.
+    def _machine(self) -> tuple[int, float]:
+        """Effective ``(processors up, work speed)`` right now: resource
+        augmentation (Sec. II) times the current fault speed factor, both
+        piecewise-constant between events."""
+        if self.faults is None:
+            return self.m, self._speed
+        return self.faults.m_eff(), self._speed * self.faults.speed_factor()
 
-        Only called when profiles or faults are in play (the plain path
-        serves the static cap buffer directly); returned caps are either
-        that buffer slice or a fresh array — never mutated in place.
+    def _segment_caps(
+        self, ids: np.ndarray, rem: np.ndarray, m_view: int
+    ) -> np.ndarray:
+        """Effective per-job caps for the current segment.
+
+        Either the static cap buffer slice or a fresh array (profile caps,
+        or caps clipped to the up-processor count) — never mutated in
+        place.
         """
         if self._use_profiles and ids.size:
             caps = self._caps_for(ids, rem)
         else:
             caps = self._a_caps[: ids.size]
-        m_view = self.m
-        speed = self._speed
-        if self.faults is not None:
-            m_view = self.faults.m_eff()
-            if m_view < self.m:
-                caps = np.minimum(caps, float(m_view))
-            speed *= self.faults.speed_factor()
-        return caps, m_view, speed
+        if m_view < self.m:
+            caps = np.minimum(caps, float(m_view))
+        return caps
 
     def _build_view(self) -> ActiveView:
         na = self._na
         ids = self._a_ids[:na]
         rem = self._a_rem[:na]
-        if self._use_profiles or self.faults is not None:
-            caps, m_view, speed = self._segment_caps(ids, rem)
-        else:
-            caps = self._a_caps[:na]
-            m_view = self.m
-            speed = self._speed
+        m_view, speed = self._machine()
         self.perf.view_builds += 1
         return _make_view(
             self._t,
@@ -839,25 +863,22 @@ class FlowStepper:
             rem,
             self._a_work[:na],
             self._a_rel[:na],
-            caps,
+            self._segment_caps(ids, rem, m_view),
             speed,
         )
 
-    def _check_rates(
-        self, rates: np.ndarray, caps: np.ndarray, m: int, n: int
+    def _view_at(self, t: float, na: int) -> ActiveView:
+        """:meth:`_build_view` for the event loop, which keeps the clock
+        and the active count in locals until it flushes them here."""
+        self._t = t
+        self._na = na
+        return self._build_view()
+
+    def _verify_rates(
+        self, rates: np.ndarray, caps: np.ndarray, m: int
     ) -> np.ndarray:
-        if rates.shape != (n,):
-            raise FlowSimError(
-                f"{self.policy.name}: rates shape {rates.shape} != ({n},)"
-            )
-        if n == 0:
-            return rates
-        calls = self._rate_calls
-        self._rate_calls = calls + 1
-        if calls % self._check_k:
-            self.perf.checks_skipped += 1
-            return rates
-        self.perf.checks_run += 1
+        """Sign, per-job cap and total-capacity checks; returns the
+        vector clipped at zero."""
         if (rates < -_RATE_TOL).any():
             raise FlowSimError(f"{self.policy.name}: negative rate")
         if (rates > caps * (1 + _RATE_TOL) + _RATE_TOL).any():
@@ -869,56 +890,41 @@ class FlowStepper:
             )
         return np.clip(rates, 0.0, None)
 
-    def _admit_due(self) -> None:
-        """Admit every pending job whose release is at or before the clock."""
-        thresh = self._t * (1.0 + _ADMIT_TOL)
+    def _profile_break_dt(
+        self, ids: np.ndarray, rem: np.ndarray, served: np.ndarray,
+        eff: np.ndarray,
+    ) -> float:
+        """Time to the next parallelism-profile breakpoint of any served
+        job, so its cap change takes effect on time."""
+        dt = _INF
         base = self._base
-        inc = self._inc
-        while self._next_arrival < self._n and self._next_rel <= thresh:
-            j = self._next_arrival
-            r = j - base
-            k = self._na
-            w = self._work[r]
-            self._a_ids[k] = j
-            self._a_rem[k] = w
-            self._a_caps[k] = self._caps_all[r]
-            self._a_tol[k] = self._tol[r]
-            self._a_work[k] = w
-            self._a_rel[k] = self._release[r]
-            self._na = k + 1
-            self._rem[r] = w
-            self._next_arrival += 1
-            self._update_next_rel()
-            self._rates_cache = None
-            if inc is not None:
-                inc.alloc = None
-                wf = float(w)
-                inc.order.insert(
-                    *inc.key_tie(j, wf, wf, float(self._release[r]))
-                )
-                if w <= self._tol[r]:
-                    inc.dust.append(j)
-            if self._has_arrival_hook:
-                self.policy.on_arrival(j, self._build_view())
+        ctol = self.config.completion_tol
+        for k in np.flatnonzero(served):
+            r = int(ids[k]) - base
+            prof = self._profiles[r]
+            if prof is None:
+                continue
+            tol = ctol * max(1.0, self._work[r])
+            attained = max(0.0, self._work[r] - rem[k])
+            brk = prof.next_break_after(attained, tol=tol)
+            if brk is not None:
+                dt_brk = float((brk - attained) / eff[k])
+                if dt_brk < dt:
+                    dt = dt_brk
+        return dt
 
     def _remove_active(self, pos: int) -> None:
         """Drop the job at buffer position ``pos``, compacting left."""
         inc = self._inc
         if inc is not None:
-            # the order holds the job's *current* key (the incremental
-            # tail re-keys served jobs before processing completions)
-            j = int(self._a_ids[pos])
-            inc.order.remove(
-                *inc.key_tie(
-                    j,
-                    float(self._a_rem[pos]),
-                    float(self._a_work[pos]),
-                    float(self._a_rel[pos]),
-                )
+            # the order holds the job's *current* key (the loop re-keys
+            # served jobs before processing completions)
+            inc.drop(
+                int(self._a_ids[pos]),
+                float(self._a_rem[pos]),
+                float(self._a_work[pos]),
+                float(self._a_rel[pos]),
             )
-            inc.cal.discard(j)
-            inc.cal_jobs.discard(j)
-            inc.alloc = None
         na = self._na
         self._a_ids[pos : na - 1] = self._a_ids[pos + 1 : na]
         self._a_blk[:, pos : na - 1] = self._a_blk[:, pos + 1 : na]
@@ -938,20 +944,15 @@ class FlowStepper:
         self._a_work[pos] = self._work[r]
         self._a_rel[pos] = self._release[r]
         self._na = na + 1
-        inc = self._inc
-        if inc is not None:
-            inc.alloc = None
-            inc.order.insert(
-                *inc.key_tie(
-                    j, float(rem_val), float(self._work[r]),
-                    float(self._release[r]),
-                )
+        if self._inc is not None:
+            self._inc.insert(
+                j, float(rem_val), float(self._work[r]),
+                float(self._release[r]), self._tol[r],
             )
-            if rem_val <= self._tol[r]:
-                inc.dust.append(j)
 
-    def _apply_due_faults(self) -> None:
-        """Apply every fault action scheduled at or before the clock.
+    def _apply_due_faults(self) -> bool:
+        """Apply every fault action scheduled at or before the clock;
+        ``True`` when any was due.
 
         Machine-state actions (crash/recover/slowdowns) were already folded
         into the timeline by ``pop_due``; here we drop stale caches and give
@@ -962,7 +963,8 @@ class FlowStepper:
         preserves DREP's "preempt only on arrival" accounting.  Every
         action lands in the fault log with an ``applied`` flag.
         """
-        for action in self.faults.pop_due(self._t):
+        due = self.faults.pop_due(self._t)
+        for action in due:
             kind = action["kind"]
             entry = dict(action)
             entry["applied"] = True
@@ -1021,250 +1023,502 @@ class FlowStepper:
                 if self._has_fault_hook:
                     self.policy.on_fault(action, self._build_view())
             self._fault_log.append(entry)
+        return bool(due)
 
-    def step(self, horizon: float | None = None) -> bool:
-        """Execute one event iteration, optionally bounded by ``horizon``.
+    def _run(self, horizon: float | None) -> None:
+        """The event loop: process events up to ``horizon``, or until every
+        registered job has completed when ``horizon`` is ``None``.
 
-        Returns ``True`` if the step made (or can still make) progress,
-        ``False`` when nothing can happen before ``horizon`` — the machine
-        is idle with no arrival due (the clock is parked at the horizon
-        when one is given).  Raises :class:`FlowSimError` on policy
-        invariant violations, a stall, or an exhausted event budget.
+        One iteration is one event of the flow-level model (paper
+        Sec. V-A): apply the fault actions due now, admit the arrivals
+        due now, solve the constant-rate segment up to the next event
+        (arrival, completion, policy timer, profile breakpoint, fault
+        point or horizon), progress every job along it, and retire the
+        jobs it finished — lowest id first, each completion hook seeing
+        the active set after that job left.  A horizon stop splits a
+        segment in two, which changes nothing observable: progress is
+        linear in time and randomness only happens inside hooks.
+
+        The active set has two backings, chosen from its observed size:
+        the dense id-sorted buffers, and — once an order-driven policy's
+        active set reaches ``incremental_min_active`` — the
+        :class:`OrderIndex` plus :class:`CompletionCalendar` pair, whose
+        per-event work scales with the change instead of the set.  Only
+        the segment solve, the progress step (with SRPT's re-key) and the
+        completion-candidate scan differ between them; both produce the
+        same trajectory bit for bit.
+
+        Per-iteration engine state lives in locals and is flushed back
+        in the ``finally`` block; the rare paths that need ``self`` in
+        sync (fault actions, views for hooks, timers and ``rates(view)``
+        policies) flush the clock and active count first.
         """
-        cfg = self.config
         if self._weights_dirty:
             self._push_weights()
-        self._events += 1
+        faults = self.faults
         max_events = self._max_events
         if not max_events:
-            max_events = cfg.max_events or default_max_events(self._n)
-            if self.faults is not None:
+            max_events = self.config.max_events or default_max_events(self._n)
+            if faults is not None:
                 # each fault point costs O(1) extra events (segment split,
                 # re-rate, possible resume); 8x is far above the worst case
-                max_events += 8 * self.faults.n_points + 64
+                max_events += 8 * faults.n_points + 64
             self._max_events = max_events
-        if self._events > max_events:
-            raise FlowSimError(
-                f"{self.policy.name}: exceeded {max_events} events "
-                f"({self._completed}/{self._n} jobs done at t={self._t:.6g})"
-                " — Zeno loop?"
-            )
-
-        # ---- apply faults due now (before arrivals: a processor that
-        # crashed at t is already gone when a job arriving at t draws) ----
-        if self.faults is not None:
-            self._apply_due_faults()
-
-        # ---- admit arrivals due now -----------------------------------
-        if self._next_rel <= self._t * (1.0 + _ADMIT_TOL):
-            self._admit_due()
-
+        perf = self.perf
+        policy = self.policy
+        fn = self._rates_array_fn
+        rates_stable = self._rates_stable
+        patch_fn = self._rates_patch_fn if rates_stable else None
+        has_completion = self._has_completion_hook
+        has_arrival = self._has_arrival_hook
+        has_timer = self._has_timer
+        use_profiles = self._use_profiles
+        record = self._record_segments
+        # hook views and segment caps come straight off the buffers (the
+        # hooks are hot for DREP: views are built inline, not via
+        # _view_at, on this path)
+        plain = faults is None and not use_profiles
+        m = m_view = self.m
+        speed = self._speed
+        n = self._n
+        admit_mul = 1.0 + _ADMIT_TOL
+        a_ids = self._a_ids
+        a_rem = self._a_rem
+        a_caps = self._a_caps
+        a_tol = self._a_tol
+        a_work = self._a_work
+        a_rel = self._a_rel
+        a_fin = self._a_fin
+        a_blk = self._a_blk
+        vbuf = self._vec_buf
+        flow = self._flow
+        release = self._release
+        work_all = self._work
+        caps_all = self._caps_all
+        tol_all = self._tol
+        rem_all = self._rem
+        completions = self._completions
+        # master rows are stored base-relative; harvest() only runs
+        # between passes, so the offset is stable here
+        base = self._base
+        radd = np.add.reduce
+        rmin = np.minimum.reduce
+        inc = self._inc
+        inc_pending = self._inc_spec is not None and inc is None
+        inc_min = self._inc_min
+        ev0 = ev = self._events
+        t = self._t
         na = self._na
-        if not na:
-            nxt = None
-            if self._next_arrival < self._n:
-                nxt = self._next_rel
-            if self.faults is not None:
-                # a pending fault point (recover, job resume) can be the
-                # only future event — without this, drain() would deadlock
-                # on a suspended job
-                ft = self.faults.next_time()
-                if ft is not None and (nxt is None or ft < nxt):
-                    nxt = float(ft)
-            if nxt is not None:
-                if horizon is not None and nxt > horizon * (1 + _ADMIT_TOL):
-                    # the next event is beyond the horizon: park there
-                    self._t = max(self._t, float(horizon))
-                    return False
-                self._t = max(self._t, nxt)
-                return True
-            if horizon is not None:
-                self._t = max(self._t, float(horizon))
-            return False  # nothing active, nothing to come
-
-        if self._inc_spec is not None and self._inc is None:
-            if na >= self._inc_min:
-                self._inc_promote()
-        if self._inc is not None:
-            return self._inc_step_tail(horizon, na)
-
-        # ---- constant-rate segment until the next event -----------------
-        ids = self._a_ids[:na]
-        rem = self._a_rem[:na]
-        view: ActiveView | None = None
-        if self.faults is None and not self._use_profiles:
-            caps = None  # the static cap buffer, fetched only if needed
-            m_view = self.m
-            speed = self._speed
-        else:
-            caps, m_view, speed = self._segment_caps(ids, rem)
-        if self.faults is not None and m_view <= 0:
-            # every processor is down: nothing runs until a recovery,
-            # which is guaranteed to be on the fault agenda
-            rates = np.zeros(na, dtype=float)
-            rsum = 0.0
-            self._rates_cache = None
-        else:
-            cached = self._rates_cache
-            if cached is None:
-                self.perf.rate_misses += 1
-                fn = self._rates_array_fn
-                if fn is not None:
-                    if caps is None:
-                        caps = self._a_caps[:na]
-                    rates = fn(
-                        self._t,
-                        m_view,
-                        ids,
-                        rem,
-                        self._a_work[:na],
-                        self._a_rel[:na],
-                        caps,
+        ja = self._next_arrival
+        next_rel = self._next_rel
+        cache = self._rates_cache
+        busy = self._busy_time
+        completed = self._completed
+        # the amortized check cadence: the first rate computation and
+        # every check_every_k-th one after it are verified
+        check_k = self._check_k
+        rc0 = rate_calls = self._rate_calls
+        c_miss = c_hit = c_reuse = c_patch = c_views = 0
+        # the dense completion scan may skip unserved jobs only when none
+        # of them can already sit within tolerance: not on entry, and not
+        # after an admission or a fault resume
+        fresh = True
+        # dense backing: the previous rate vector, kept structurally
+        # aligned with the buffers across admissions and completions so
+        # the policy's rates_array_patch can refresh it sparsely (a prefix
+        # view of the _vec_buf scratch); None forces a full rebuild
+        vec = None
+        try:
+            while True:
+                ev += 1
+                if ev > max_events:
+                    raise FlowSimError(
+                        f"{policy.name}: exceeded {max_events} events "
+                        f"({completed}/{n} jobs done at t={t:.6g})"
+                        " — Zeno loop?"
                     )
-                else:
-                    view = self._build_view()
-                    caps = view.caps
-                    rates = self.policy.rates(view)
-                rates = self._check_rates(
-                    np.asarray(rates, dtype=float), caps, m_view, na
-                )
-                rsum = float(rates.sum())
-                if self._rates_stable:
-                    self._rates_cache = (rates, rsum)
-            else:
-                self.perf.rate_hits += 1
-                rates, rsum = cached
-        if view is None:
-            # the whole segment was computed on the flat buffers — no
-            # ActiveView materialized (the SoA fast path)
-            self.perf.view_reuses += 1
-        # ``speed`` folds resource augmentation (Sec. II) together with
-        # the current fault speed factor (degradation/stragglers), both
-        # piecewise-constant between events
-        if speed != 1.0:
-            eff = rates * speed
-        else:
-            eff = rates
 
-        # per-job finish time of the segment: rem/eff where served, +inf
-        # where idle (idle jobs never bound dt; an all-idle set leaves
-        # dt at inf exactly as the old masked-min did).  One masked
-        # divide into a persistent scratch row replaces the old
-        # all()/any() probes and boolean gathers — same quotients, same
-        # min, bit for bit.
-        served = eff > 0
-        finish = self._a_fin[:na]
-        finish[:] = np.inf
-        np.divide(rem, eff, out=finish, where=served)
-        dt = float(finish.min())
-        if self._next_arrival < self._n:
-            dt_arr = self._next_rel - self._t
-            if dt_arr < dt:
-                dt = dt_arr
-        if self._has_timer:
-            if view is None:
-                view = self._build_view()
-            timer = self.policy.next_timer(view)
-            if timer is not None and timer > self._t:
-                dt_timer = float(timer) - self._t
-                if dt_timer < dt:
-                    dt = dt_timer
-        if self._use_profiles:
-            # stop exactly at the next parallelism-profile breakpoint of
-            # any served job so its cap change takes effect on time
-            for k in np.flatnonzero(served):
-                r = int(ids[k]) - self._base
-                prof = self._profiles[r]
-                if prof is None:
+                # ---- faults due now (before arrivals: a processor that
+                # crashed at t is already gone when a job arriving at t
+                # draws) ----
+                if faults is not None:
+                    self._t = t
+                    self._na = na
+                    self._rates_cache = cache
+                    if self._apply_due_faults():
+                        na = self._na
+                        cache = self._rates_cache
+                        vec = None
+                        fresh = True
+                    m_view, speed = self._machine()
+
+                # ---- admit arrivals due now ------------------------------
+                thresh = t * admit_mul
+                if next_rel <= thresh:
+                    na0 = na
+                    while ja < n and next_rel <= thresh:
+                        r = ja - base
+                        w = work_all[r]
+                        a_ids[na] = ja
+                        a_rem[na] = w
+                        a_caps[na] = caps_all[r]
+                        a_tol[na] = tol_all[r]
+                        a_work[na] = w
+                        a_rel[na] = release[r]
+                        na += 1
+                        rem_all[r] = w
+                        if inc is not None:
+                            wf = float(w)
+                            inc.insert(ja, wf, wf, float(release[r]), tol_all[r])
+                        ja += 1
+                        next_rel = float(release[ja - base]) if ja < n else np.inf
+                        cache = None
+                        if has_arrival:
+                            if plain:
+                                c_views += 1
+                                view = _make_view(
+                                    t, m, a_ids[:na], a_rem[:na], a_work[:na],
+                                    a_rel[:na], a_caps[:na], speed,
+                                )
+                            else:
+                                view = self._view_at(t, na)
+                            policy.on_arrival(ja - 1, view)
+                    if vec is not None:
+                        # admissions append (ids are handed out in sorted
+                        # order) with rate 0 until the patch says otherwise
+                        vbuf[na0:na] = 0.0
+                        vec = vbuf[:na]
+                    fresh = True
+
+                # ---- idle machine: jump to the next event ----------------
+                if not na:
+                    nxt = next_rel if ja < n else None
+                    if faults is not None:
+                        # a pending fault point (recover, job resume) can
+                        # be the only future event — without it a
+                        # suspended job would deadlock drain()
+                        ft = faults.next_time()
+                        if ft is not None and (nxt is None or ft < nxt):
+                            nxt = float(ft)
+                    if nxt is None:
+                        if horizon is not None:
+                            t = max(t, horizon)
+                        break  # nothing active, nothing to come
+                    if horizon is not None and nxt > horizon * admit_mul:
+                        t = max(t, horizon)  # the next event is beyond it
+                        break
+                    t = max(t, nxt)
+                    if horizon is not None and not t * admit_mul < horizon:
+                        break
                     continue
-                tol = cfg.completion_tol * max(1.0, self._work[r])
-                attained = max(0.0, self._work[r] - rem[k])
-                brk = prof.next_break_after(attained, tol=tol)
-                if brk is not None:
-                    dt_brk = float((brk - attained) / eff[k])
+
+                if inc_pending and na >= inc_min:
+                    self._na = na
+                    self._inc_promote()
+                    inc = self._inc
+                    inc_pending = False
+                    vec = None
+
+                # ---- segment solve ----------------------------------------
+                rem = a_rem[:na]
+                view = None
+                if inc is None:
+                    # dense backing: the full rate vector
+                    ids = a_ids[:na]
+                    if plain:
+                        caps = a_caps[:na]
+                    else:
+                        caps = self._segment_caps(ids, rem, m_view)
+                    if m_view <= 0:
+                        # every processor is down: nothing runs until a
+                        # recovery, which is guaranteed to be on the agenda
+                        rates = np.zeros(na, dtype=float)
+                        rsum = 0.0
+                        cache = None
+                    elif cache is None:
+                        c_miss += 1
+                        rates = None
+                        if vec is not None:
+                            # the policy reports only the entries that
+                            # moved (bit-equal to a full rebuild by the
+                            # rates_array_patch contract)
+                            pairs = patch_fn(ids, caps)
+                            if pairs is not None:
+                                for p, val in pairs:
+                                    vec[p] = val
+                                rates = vec
+                                c_patch += 1
+                        if rates is None:
+                            if fn is not None:
+                                rates = fn(t, m_view, ids, rem, a_work[:na],
+                                           a_rel[:na], caps)
+                            else:
+                                view = self._view_at(t, na)
+                                caps = view.caps
+                                rates = policy.rates(view)
+                            rates = np.asarray(rates, dtype=float)
+                        if rates.shape != (na,):
+                            raise FlowSimError(
+                                f"{policy.name}: rates shape {rates.shape} "
+                                f"!= ({na},)"
+                            )
+                        check = not rate_calls % check_k
+                        rate_calls += 1
+                        if check:
+                            rates = self._verify_rates(rates, caps, m_view)
+                        rsum = float(radd(rates))
+                        if rates_stable:
+                            cache = (rates, rsum)
+                    else:
+                        c_hit += 1
+                        rates, rsum = cache
+                    if patch_fn is not None and rates is not vec:
+                        # a fresh array (full rebuild, check-pass clip or a
+                        # cache from an earlier pass): copy it into the
+                        # scratch so shifts below can mutate it in place
+                        vbuf[:na] = rates
+                        vec = vbuf[:na]
+                    eff = rates * speed if speed != 1.0 else rates
+                    served = eff > 0
+                    if na >= 32:
+                        sp = served.nonzero()[0]
+                        ns = sp.size
+                        sparse = 4 * ns <= na
+                    else:
+                        # tiny active sets: the dense sweep is cheaper than
+                        # the nonzero() gather (both are bit-equal)
+                        sparse = False
+                    if sparse:
+                        # few served jobs: an eff == 0 entry is exactly
+                        # unchanged by progress, so only the served ones
+                        # bound dt (same quotients, same minimum)
+                        eff_s = eff[sp]
+                        dt = float(rmin(rem[sp] / eff_s)) if ns else _INF
+                    else:
+                        finish = a_fin[:na]
+                        finish[:] = _INF
+                        np.divide(rem, eff, out=finish, where=served)
+                        dt = float(rmin(finish))
+                else:
+                    # order backing: the sparse allocation off the order head
+                    if m_view <= 0:
+                        cache = None
+                        inc.alloc = None
+                        alloc = _NO_ALLOC
+                    else:
+                        alloc = inc.alloc
+                        if alloc is None:
+                            c_miss += 1
+                            alloc = self._inc_build_alloc(na, m_view)
+                            check = not rate_calls % check_k
+                            rate_calls += 1
+                            if check:
+                                self._inc_check_alloc(alloc, na, m_view)
+                            if rates_stable:
+                                inc.alloc = alloc
+                        else:
+                            c_hit += 1
+                    pos, rates, rsum = alloc
+                    ns = pos.size
+                    if ns:
+                        rem_s = rem[pos]
+                        eff_s = rates * speed if speed != 1.0 else rates
+                        served_ids = a_ids[:na][pos].tolist()
+                        dt = inc.predict(served_ids, (rem_s / eff_s).tolist())
+                    else:
+                        dt = inc.predict((), ())
+                if view is None:
+                    c_reuse += 1
+
+                # ---- the other dt bounds -----------------------------------
+                if ja < n:
+                    dt_arr = next_rel - t
+                    if dt_arr < dt:
+                        dt = dt_arr
+                if has_timer:
+                    if view is None:
+                        view = self._view_at(t, na)
+                    timer = policy.next_timer(view)
+                    if timer is not None and timer > t:
+                        dt_timer = float(timer) - t
+                        if dt_timer < dt:
+                            dt = dt_timer
+                if use_profiles:
+                    # profiles force the dense backing
+                    dt_brk = self._profile_break_dt(ids, rem, served, eff)
                     if dt_brk < dt:
                         dt = dt_brk
-        if self.faults is not None:
-            # stop exactly at the next fault point so m(t) and the speed
-            # factor change on time (keeps the run event-exact)
-            ft = self.faults.next_time()
-            if ft is not None and ft > self._t:
-                dt_f = float(ft) - self._t
-                if dt_f < dt:
-                    dt = dt_f
-        if horizon is not None and horizon > self._t:
-            dt_hor = float(horizon) - self._t
-            if dt_hor < dt:
-                dt = dt_hor
+                if faults is not None:
+                    # stop exactly at the next fault point so m(t) and
+                    # the speed factor change on time
+                    ft = faults.next_time()
+                    if ft is not None and ft > t:
+                        dt_f = float(ft) - t
+                        if dt_f < dt:
+                            dt = dt_f
+                if horizon is not None and horizon > t:
+                    dt_hor = horizon - t
+                    if dt_hor < dt:
+                        dt = dt_hor
 
-        if dt == np.inf:
-            if horizon is not None:
-                return False  # parked at the horizon with idle-rate jobs
-            raise FlowSimError(
-                f"{self.policy.name}: stalled at t={self._t:.6g} with "
-                f"{na} active jobs, zero rates and no "
-                "future events"
+                if dt == _INF:
+                    if horizon is not None:
+                        break  # parked at the horizon with idle-rate jobs
+                    raise FlowSimError(
+                        f"{policy.name}: stalled at t={t:.6g} with "
+                        f"{na} active jobs, zero rates and no future events"
+                    )
+                if dt < 0:
+                    raise FlowSimError(f"{policy.name}: negative time step {dt}")
+
+                # ---- progress ----------------------------------------------
+                if dt > 0:
+                    # ``rem`` is the live buffer slice: progress lands in
+                    # place, no gather/scatter against the job table
+                    if inc is None:
+                        if sparse:
+                            rem[sp] -= eff_s * dt
+                        else:
+                            rem -= eff * dt
+                    elif ns:
+                        rem[pos] -= eff_s * dt
+                    busy += rsum * dt  # processor-time, not work
+                    if record:
+                        self._segments.append((t, t + dt, {
+                            int(j): float(x) for j, x in zip(ids, rates) if x > 0
+                        }))
+                    t += dt
+                    if inc is not None and ns and inc.kind == "remaining":
+                        inc.rekey(served_ids, rem_s.tolist(), rem[pos].tolist())
+
+                # ---- completion candidates (ascending positions) ----------
+                if inc is None:
+                    if sparse and not fresh:
+                        dpos = sp[rem[sp] <= a_tol[:na][sp]] if ns else sp
+                    else:
+                        dpos = (rem <= a_tol[:na]).nonzero()[0]
+                        fresh = False
+                else:
+                    # served ∪ dust covers every candidate
+                    dpos = pos[rem[pos] <= a_tol[:na][pos]] if ns else pos
+                    if inc.dust:
+                        dpos = inc.take_dust(dpos, a_ids[:na])
+                n_done = dpos.size
+
+                # ---- completions, lowest job id first ----------------------
+                if n_done:
+                    cache = None
+                    if n_done == 1 or has_completion:
+                        for k, p in enumerate(dpos.tolist()):
+                            p -= k  # earlier removals shifted it left
+                            j = int(a_ids[p])
+                            r = j - base
+                            # park the final (dust) remaining value in the
+                            # master column for checkpoints and observers
+                            rem_all[r] = a_rem[p]
+                            if inc is not None:
+                                inc.drop(j, float(a_rem[p]), float(a_work[p]),
+                                         float(a_rel[p]))
+                            a_ids[p : na - 1] = a_ids[p + 1 : na]
+                            a_blk[:, p : na - 1] = a_blk[:, p + 1 : na]
+                            na -= 1
+                            if vec is not None:
+                                vbuf[p:na] = vbuf[p + 1 : na + 1]
+                                vec = vbuf[:na]
+                            flow[r] = t - release[r]
+                            completed += 1
+                            completions.append((j, t))
+                            if has_completion:
+                                # the hook sees the set after this removal:
+                                # a freed DREP processor re-draws from the
+                                # jobs still alive
+                                if plain:
+                                    c_views += 1
+                                    view = _make_view(
+                                        t, m, a_ids[:na], a_rem[:na],
+                                        a_work[:na], a_rel[:na], a_caps[:na],
+                                        speed,
+                                    )
+                                else:
+                                    view = self._view_at(t, na)
+                                policy.on_completion(j, view)
+                    else:
+                        # no hook observes the intermediate sets: one
+                        # compaction instead of a shift per job
+                        for p in dpos.tolist():
+                            j = int(a_ids[p])
+                            r = j - base
+                            rem_all[r] = a_rem[p]
+                            if inc is not None:
+                                inc.drop(j, float(a_rem[p]), float(a_work[p]),
+                                         float(a_rel[p]))
+                            flow[r] = t - release[r]
+                            completed += 1
+                            completions.append((j, t))
+                        keep = np.ones(na, dtype=bool)
+                        keep[dpos] = False
+                        nk = na - n_done
+                        # fancy indexing copies first: writing back is safe
+                        a_ids[:nk] = a_ids[:na][keep]
+                        a_blk[:, :nk] = a_blk[:, :na][:, keep]
+                        if vec is not None:
+                            vbuf[:nk] = vec[keep]
+                            vec = vbuf[:nk]
+                        na = nk
+
+                # ---- exit test -----------------------------------------------
+                if horizon is not None:
+                    if not t * admit_mul < horizon:
+                        break
+                elif completed == n:
+                    break
+        finally:
+            perf.batch_jumps += 1
+            perf.batch_events_folded += ev - ev0
+            self._events = ev
+            self._t = t
+            self._na = na
+            self._next_arrival = ja
+            self._next_rel = next_rel
+            self._rates_cache = cache
+            self._busy_time = busy
+            self._completed = completed
+            self._rate_calls = rate_calls
+            # verified calls: the multiples of check_k in [rc0, rate_calls)
+            run = (
+                (rate_calls + check_k - 1) // check_k
+                - (rc0 + check_k - 1) // check_k
             )
-        if dt < 0:
-            raise FlowSimError(f"{self.policy.name}: negative time step {dt}")
+            perf.checks_run += run
+            perf.checks_skipped += rate_calls - rc0 - run
+            perf.rate_misses += c_miss
+            perf.rate_hits += c_hit
+            perf.view_reuses += c_reuse
+            perf.view_builds += c_views
+            perf.batch_rate_patches += c_patch
+            if inc is not None:
+                self._inc_sync_perf()
 
-        if dt > 0:
-            # ``rem`` is the live buffer slice: the segment's progress is
-            # applied in place, no gather/scatter against the job table
-            rem -= eff * dt
-            # processor-time, not work
-            self._busy_time += rsum * dt
-            if self._record_segments:
-                alloc = {
-                    int(j): float(r)
-                    for j, r in zip(ids, rates)
-                    if r > 0
-                }
-                self._segments.append((self._t, self._t + dt, alloc))
-            self._t += dt
+    def advance_to(self, t: float) -> None:
+        """Process every event with time ≤ ``t`` and park the clock there.
 
-        # ---- completions -------------------------------------------------
-        # Jobs whose remaining work dropped (within tolerance) to zero
-        # finish now.  They are removed lowest job id first, and the policy
-        # hook sees the active set *after* each removal — matching the
-        # paper's semantics where a freed DREP processor re-draws from the
-        # jobs still alive.  Nothing below mutates remaining work, so the
-        # done set is computed once; ``ids`` is sorted ascending, so
-        # iterating ``done`` in order is exactly lowest-id-first.
-        done_mask = rem <= self._a_tol[:na]
-        if done_mask.any():
-            base = self._base
-            done = ids[done_mask]
-            # park the final (dust) remaining values in the master column
-            # so checkpoints and observers see what the buffers saw
-            self._rem[done - base if base else done] = rem[done_mask]
-            t = self._t
-            if self._has_completion_hook:
-                for j in done.tolist():
-                    self._remove_active(self._active_pos(j))
-                    self._flow[j - base] = t - self._release[j - base]
-                    self._completed += 1
-                    self._completions.append((j, t))
-                    self._rates_cache = None
-                    self.policy.on_completion(j, self._build_view())
-            else:
-                keep = ~done_mask
-                nk = na - int(done.size)
-                self._a_ids[:nk] = self._a_ids[:na][keep]
-                self._a_blk[:, :nk] = self._a_blk[:, :na][:, keep]
-                self._na = nk
-                for j in done.tolist():
-                    self._flow[j - base] = t - self._release[j - base]
-                    self._completed += 1
-                    self._completions.append((j, t))
-                self._rates_cache = None
-        return True
+        A no-op when ``t`` is not ahead of the clock (rewinding is
+        impossible; the clock never moves backwards).
+        """
+        t = float(t)
+        if self._t * (1 + _ADMIT_TOL) < t:
+            self._run(t)
 
-    # -- incremental (O(log n)) kernels ------------------------------------
+    def drain(self) -> None:
+        """Run until every registered job has completed."""
+        if self._completed < self._n:
+            self._run(None)
+
+    # -- the order backing (O(log n)) ---------------------------------------
 
     def _inc_promote(self) -> None:
         """Build the order/calendar structures from the live buffers and
-        switch the stepper onto the incremental kernels.
+        switch the stepper onto the order backing.
 
         Runs once per stepper, the first time the active set reaches
         ``incremental_min_active`` (at construction when the threshold
@@ -1274,7 +1528,7 @@ class FlowStepper:
         tolerance jobs into the dust set, exactly the state the
         structures would hold had they been maintained from the start;
         the calendar starts empty and fills as segments are served.
-        Promotion is one-way — the dense paths win below the threshold
+        Promotion is one-way — the dense backing wins below the threshold
         only on constant factors, and demotion would just thrash.
         """
         inc = _IncrementalCore(self._inc_spec, self.policy)
@@ -1291,7 +1545,6 @@ class FlowStepper:
             if self._a_rem[k] <= self._a_tol[k]:
                 inc.dust.append(j)
         self._inc = inc
-        self._inc_kernel_ok = self._inc_kernel_allowed
 
     def _inc_build_alloc(
         self, na: int, m_view: int
@@ -1356,7 +1609,7 @@ class FlowStepper:
         na: int, m_view: int,
     ) -> None:
         """Amortized invariant checks on a sparse allocation — the same
-        cap / negativity / total-capacity verification the dense path
+        cap / negativity / total-capacity verification the dense backing
         runs, restricted to the non-zero entries (the zeros it skips
         satisfy all three trivially)."""
         pos, rates, rsum = alloc
@@ -1383,910 +1636,6 @@ class FlowStepper:
         perf.order_ops = inc.order.ops
         perf.calendar_pops = inc.cal.pops
         perf.calendar_invalidations = inc.cal.invalidations
-
-    def _inc_step_tail(self, horizon: float | None, na: int) -> bool:
-        """Incremental completion of one :meth:`step` event.
-
-        Entered after the shared fault / admission / empty-set preamble;
-        replicates the dense constant-rate-segment tail bit for bit —
-        same ``dt`` bound sequence, same progress and busy-time updates,
-        same lowest-id-first completion order with identical hook views
-        — but touches only the served set, the dust set, and O(log n)
-        structure updates instead of sweeping all ``n_active`` entries.
-        Supports fault plans (machine-state changes invalidate the
-        allocation; evictions/resumes flow through the buffer hooks).
-        """
-        inc = self._inc
-        perf = self.perf
-        rem = self._a_rem[:na]
-        if self.faults is not None:
-            m_view = self.faults.m_eff()
-            speed = self._speed * self.faults.speed_factor()
-        else:
-            m_view = self.m
-            speed = self._speed
-        if self.faults is not None and m_view <= 0:
-            # every processor is down: zero rates, no compute, no check
-            # cadence tick — exactly the dense all-down branch
-            self._rates_cache = None
-            inc.alloc = None
-            alloc = (np.empty(0, dtype=np.int64), np.empty(0, dtype=float), 0.0)
-        else:
-            alloc = inc.alloc
-            if alloc is None:
-                perf.rate_misses += 1
-                alloc = self._inc_build_alloc(na, m_view)
-                calls = self._rate_calls
-                self._rate_calls = calls + 1
-                if calls % self._check_k:
-                    perf.checks_skipped += 1
-                else:
-                    perf.checks_run += 1
-                    self._inc_check_alloc(alloc, na, m_view)
-                if self._rates_stable:
-                    inc.alloc = alloc
-            else:
-                perf.rate_hits += 1
-        perf.view_reuses += 1
-        pos, rates, rsum = alloc
-        ns = pos.size
-        cal = inc.cal
-        if ns:
-            rem_s = rem[pos]
-            eff_s = rates * speed if speed != 1.0 else rates
-            served_ids = self._a_ids[:na][pos].tolist()
-            newset = set(served_ids)
-            for j in inc.cal_jobs - newset:
-                cal.discard(j)
-            inc.cal_jobs = newset
-            qs = (rem_s / eff_s).tolist()
-            for i in range(ns):
-                cal.update(served_ids[i], qs[i])
-            dt = cal.min_quotient()
-        else:
-            if inc.cal_jobs:
-                for j in inc.cal_jobs:
-                    cal.discard(j)
-                inc.cal_jobs = set()
-            dt = float("inf")
-        if self._next_arrival < self._n:
-            dt_arr = self._next_rel - self._t
-            if dt_arr < dt:
-                dt = dt_arr
-        if self.faults is not None:
-            ft = self.faults.next_time()
-            if ft is not None and ft > self._t:
-                dt_f = float(ft) - self._t
-                if dt_f < dt:
-                    dt = dt_f
-        if horizon is not None and horizon > self._t:
-            dt_hor = float(horizon) - self._t
-            if dt_hor < dt:
-                dt = dt_hor
-
-        if dt == np.inf:
-            if horizon is not None:
-                return False  # parked at the horizon with idle-rate jobs
-            raise FlowSimError(
-                f"{self.policy.name}: stalled at t={self._t:.6g} with "
-                f"{na} active jobs, zero rates and no "
-                "future events"
-            )
-        if dt < 0:
-            raise FlowSimError(f"{self.policy.name}: negative time step {dt}")
-
-        if dt > 0:
-            if ns:
-                rem[pos] -= eff_s * dt
-            self._busy_time += rsum * dt
-            self._t += dt
-            if inc.kind == "remaining" and ns:
-                # the decremented delta: re-key every served job so the
-                # order tracks live remaining work (SRPT); pre-update
-                # keys come from the gather taken before the scatter
-                order = inc.order
-                neg = inc.neg
-                olds = rem_s.tolist()
-                news = rem[pos].tolist()
-                for i in range(ns):
-                    ov = olds[i]
-                    nv = news[i]
-                    if nv == ov:
-                        continue
-                    j = served_ids[i]
-                    if neg:
-                        order.remove(-ov, -j)
-                        order.insert(-nv, -j)
-                    else:
-                        order.remove(ov, j)
-                        order.insert(nv, j)
-
-        # ---- completions: served ∪ dust covers every candidate ----------
-        done: list[int] = []
-        if ns:
-            nr = rem[pos]
-            dm = nr <= self._a_tol[:na][pos]
-            if dm.any():
-                done = [served_ids[i] for i in np.flatnonzero(dm)]
-        if inc.dust:
-            ds = set(done)
-            for j in inc.dust:
-                # a fault eviction may have removed a dust job before any
-                # segment ran; stale entries are simply dropped
-                if j not in ds and self._active_pos(j) >= 0:
-                    done.append(j)
-            inc.dust.clear()
-            done.sort()
-        if done:
-            base = self._base
-            t = self._t
-            has_hook = self._has_completion_hook
-            for j in done:
-                p = self._active_pos(j)
-                r = j - base
-                # park the final (dust) remaining value in the master
-                # column, as the dense scan does
-                self._rem[r] = self._a_rem[p]
-                self._remove_active(p)  # also syncs order/calendar/alloc
-                self._flow[r] = t - self._release[r]
-                self._completed += 1
-                self._completions.append((j, t))
-                self._rates_cache = None
-                if has_hook:
-                    self.policy.on_completion(j, self._build_view())
-        self._inc_sync_perf()
-        return True
-
-    def _batched_steps(self, horizon: float | None) -> bool:
-        """Fold a whole run of events into one kernel pass.
-
-        The completion-horizon batch kernel: semantically this is
-        :meth:`step` called in a loop, specialized to the configurations
-        ``_batch_ok`` admits — stable vectorized rates, no faults, no
-        timers, no profiles, no segment recording — with the per-call
-        dispatch overhead hoisted out of the loop.  Every iteration
-        replicates one ``step()`` invocation *exactly*: the same
-        admission threshold, the same per-element divisions and minimum,
-        the same sequential ``dt`` bounds, the same lowest-id-first
-        completion order with identical hook views (hence identical RNG
-        draw sequences), and the same event accounting against
-        ``max_events``.  The golden tests and the batched≡unit
-        Hypothesis suite (``tests/flowsim/test_batch_equivalence.py``)
-        pin the equivalence bit for bit.
-
-        Where the active set is much larger than the served set (DREP
-        gives out at most ``m`` processors), the segment solve gathers
-        the few served entries instead of sweeping all ``n_active`` —
-        valid bitwise because an ``eff == 0`` entry is exactly unchanged
-        by ``rem -= eff * dt`` and can only complete in a segment where
-        it was already within tolerance (the dense scan is kept for the
-        first segment after any admission, the one place such an entry
-        can appear).
-
-        Returns like ``step()``: ``True`` while progress was made,
-        ``False`` when nothing can happen before ``horizon`` (the clock
-        is parked there when one is given).
-        """
-        if self._weights_dirty:
-            self._push_weights()
-        max_events = self._max_events
-        if not max_events:
-            max_events = self.config.max_events or default_max_events(self._n)
-            self._max_events = max_events
-        perf = self.perf
-        policy = self.policy
-        fn = self._rates_array_fn
-        patch_fn = self._rates_patch_fn
-        speed = self._speed
-        m = self.m
-        n = self._n
-        has_completion = self._has_completion_hook
-        has_arrival = self._has_arrival_hook
-        check_k = self._check_k
-        admit_mul = 1.0 + _ADMIT_TOL
-        a_ids = self._a_ids
-        a_rem = self._a_rem
-        a_caps = self._a_caps
-        a_tol = self._a_tol
-        a_work = self._a_work
-        a_rel = self._a_rel
-        a_fin = self._a_fin
-        a_blk = self._a_blk
-        vbuf = self._vec_buf
-        flow = self._flow
-        release = self._release
-        work_all = self._work
-        caps_all = self._caps_all
-        tol_all = self._tol
-        rem_all = self._rem
-        completions = self._completions
-        # master rows are stored base-relative; stable for the whole pass
-        # (harvest() only runs between kernel passes)
-        base = self._base
-        radd = np.add.reduce
-        rmin = np.minimum.reduce
-        folded = 0
-        # per-iteration state lives in locals (the finally block flushes
-        # it back): attribute traffic is a measurable share of a
-        # multi-thousand-event drain when each iteration is only a
-        # handful of small numpy calls
-        ev = self._events
-        t = self._t
-        na = self._na
-        ja = self._next_arrival
-        next_rel = self._next_rel
-        cache = self._rates_cache
-        busy = self._busy_time
-        completed = self._completed
-        rate_calls = self._rate_calls
-        c_miss = c_hit = c_run = c_skip = c_reuse = c_views = c_patch = 0
-        # entry state is unknown (a horizon-parked step may have admitted
-        # jobs without running a completion scan), so the first segment
-        # always uses the dense scan
-        fresh = True
-        # the previous segment's rate vector, kept *structurally aligned*
-        # with the active buffers across admissions/completions so the
-        # policy's rates_array_patch can update it sparsely; None until
-        # the first full compute (or always, without a patch hook)
-        vec = None
-        # promotion watch: an order-spec policy still below its
-        # incremental_min_active threshold runs this dense kernel; once
-        # admissions push the active set over the line, exit the pass at
-        # an iteration boundary (state consistent, event not yet
-        # counted) so the caller can promote and re-dispatch
-        inc_pending = self._inc_spec is not None and self._inc is None
-        inc_min = self._inc_min
-        ret = True
-        try:
-            while True:
-                if inc_pending and na >= inc_min:
-                    break
-                ev += 1
-                folded += 1
-                if ev > max_events:
-                    raise FlowSimError(
-                        f"{policy.name}: exceeded {max_events} events "
-                        f"({completed}/{n} jobs done at "
-                        f"t={t:.6g})"
-                        " — Zeno loop?"
-                    )
-
-                # ---- admit arrivals due now -------------------------
-                # (inline _admit_due: same threshold, same per-admission
-                # bookkeeping and hook views, minus the call overhead)
-                thresh = t * admit_mul
-                if next_rel <= thresh:
-                    na0 = na
-                    while ja < n and next_rel <= thresh:
-                        r = ja - base
-                        w = work_all[r]
-                        a_ids[na] = ja
-                        a_rem[na] = w
-                        a_caps[na] = caps_all[r]
-                        a_tol[na] = tol_all[r]
-                        a_work[na] = w
-                        a_rel[na] = release[r]
-                        na += 1
-                        rem_all[r] = w
-                        ja += 1
-                        next_rel = (
-                            float(release[ja - base]) if ja < n else np.inf
-                        )
-                        cache = None
-                        if has_arrival:
-                            c_views += 1
-                            policy.on_arrival(
-                                ja - 1,
-                                _make_view(
-                                    t,
-                                    m,
-                                    a_ids[:na],
-                                    a_rem[:na],
-                                    a_work[:na],
-                                    a_rel[:na],
-                                    a_caps[:na],
-                                    speed,
-                                ),
-                            )
-                    if vec is not None:
-                        # align the kept rate vector: admissions append
-                        # at the end (ids are handed out in sorted order)
-                        # with rate 0 until the patch says otherwise
-                        # (vec is a prefix view of vbuf, so this is one
-                        # in-place fill, not a reallocation)
-                        vbuf[na0:na] = 0.0
-                        vec = vbuf[:na]
-                    fresh = True
-                if not na:
-                    if ja < n:
-                        if horizon is not None and (
-                            next_rel > horizon * admit_mul
-                        ):
-                            # next event beyond the horizon: park there
-                            t = max(t, float(horizon))
-                            ret = False
-                            break
-                        t = max(t, next_rel)
-                        # one idle-jump event; the next iteration admits
-                        # (advance_to would stop here if the jump landed
-                        # at/over the horizon)
-                        if horizon is not None and not (
-                            t * admit_mul < horizon
-                        ):
-                            break
-                        continue
-                    if horizon is not None:
-                        t = max(t, float(horizon))
-                    ret = False  # nothing active, nothing to come
-                    break
-
-                # ---- constant-rate segment until the next event -----
-                ids = a_ids[:na]
-                rem = a_rem[:na]
-                if cache is None:
-                    c_miss += 1
-                    caps = a_caps[:na]
-                    rates = None
-                    if vec is not None:
-                        # sparse path: vec is the previous vector aligned
-                        # to the current composition; the policy reports
-                        # only the entries that moved (bit-equal to a
-                        # full rebuild by the rates_array_patch contract)
-                        pairs = patch_fn(ids, caps)
-                        if pairs is not None:
-                            for pos, val in pairs:
-                                vec[pos] = val
-                            rates = vec
-                            c_patch += 1
-                    if rates is None:
-                        rates = np.asarray(
-                            fn(
-                                t, m, ids, rem,
-                                a_work[:na], a_rel[:na], caps,
-                            ),
-                            dtype=float,
-                        )
-                    # inline _check_rates: same shape gate, same
-                    # amortized-verification cadence as per-event — one
-                    # counted call per decision point, patched or not
-                    if rates.shape != (na,):
-                        raise FlowSimError(
-                            f"{policy.name}: rates shape {rates.shape} "
-                            f"!= ({na},)"
-                        )
-                    calls = rate_calls
-                    rate_calls = calls + 1
-                    if calls % check_k:
-                        c_skip += 1
-                    else:
-                        c_run += 1
-                        if (rates < -_RATE_TOL).any():
-                            raise FlowSimError(
-                                f"{policy.name}: negative rate"
-                            )
-                        if (rates > caps * (1 + _RATE_TOL) + _RATE_TOL).any():
-                            raise FlowSimError(
-                                f"{policy.name}: rate exceeds per-job cap"
-                            )
-                        if rates.sum() > m * (1 + _RATE_TOL) + _RATE_TOL:
-                            raise FlowSimError(
-                                f"{policy.name}: total rate "
-                                f"{rates.sum():.6g} exceeds m={m}"
-                            )
-                        rates = np.clip(rates, 0.0, None)
-                    rsum = float(radd(rates))
-                    cache = (rates, rsum)
-                else:
-                    c_hit += 1
-                    rates, rsum = cache
-                if patch_fn is not None and rates is not vec:
-                    # a fresh array reached us (full rebuild, check-pass
-                    # clip, or a cache carried over from the per-event
-                    # path): copy it into the scratch so the completion /
-                    # admission shifts below can mutate in place
-                    vbuf[:na] = rates
-                    vec = vbuf[:na]
-                c_reuse += 1
-                eff = rates * speed if speed != 1.0 else rates
-
-                served = eff > 0
-                if na >= 32:
-                    sp = served.nonzero()[0]
-                    ns = sp.size
-                    sparse = 4 * ns <= na
-                else:
-                    # tiny active sets: the dense sweep is cheaper than
-                    # the nonzero() gather (both are bit-equal)
-                    sparse = False
-                if sparse:
-                    eff_s = eff[sp]
-                    dt = float(rmin(rem[sp] / eff_s)) if ns else np.inf
-                else:
-                    finish = a_fin[:na]
-                    finish[:] = np.inf
-                    np.divide(rem, eff, out=finish, where=served)
-                    dt = float(rmin(finish))
-                if ja < n:
-                    dt_arr = next_rel - t
-                    if dt_arr < dt:
-                        dt = dt_arr
-                if horizon is not None and horizon > t:
-                    dt_hor = float(horizon) - t
-                    if dt_hor < dt:
-                        dt = dt_hor
-
-                if dt == np.inf:
-                    if horizon is not None:
-                        ret = False  # parked with idle-rate jobs
-                        break
-                    raise FlowSimError(
-                        f"{policy.name}: stalled at t={t:.6g} with "
-                        f"{na} active jobs, zero rates and no "
-                        "future events"
-                    )
-                if dt < 0:
-                    raise FlowSimError(
-                        f"{policy.name}: negative time step {dt}"
-                    )
-
-                if dt > 0:
-                    if sparse:
-                        rem[sp] -= eff_s * dt
-                    else:
-                        rem -= eff * dt
-                    busy += rsum * dt
-                    t += dt
-
-                # ---- completions ------------------------------------
-                sparse_done = sparse and not fresh
-                if sparse_done:
-                    dpos = sp[rem[sp] <= a_tol[:na][sp]] if ns else sp
-                    n_done = int(dpos.size)
-                else:
-                    # nonzero() both counts and locates the finished
-                    # entries in one pass (count_nonzero + argmax would
-                    # be two)
-                    done_mask = rem <= a_tol[:na]
-                    dpos = done_mask.nonzero()[0]
-                    n_done = dpos.size
-                    fresh = False
-                if n_done == 1:
-                    # the overwhelmingly common case: one job finishes —
-                    # scalar bookkeeping, no fancy-index round trips
-                    p = int(dpos[0])
-                    j = int(ids[p])
-                    r = j - base
-                    rem_all[r] = rem[p]
-                    a_ids[p : na - 1] = a_ids[p + 1 : na]
-                    a_blk[:, p : na - 1] = a_blk[:, p + 1 : na]
-                    na -= 1
-                    if vec is not None:
-                        vbuf[p:na] = vbuf[p + 1 : na + 1]
-                        vec = vbuf[:na]
-                    flow[r] = t - release[r]
-                    completed += 1
-                    completions.append((j, t))
-                    cache = None
-                    if has_completion:
-                        c_views += 1
-                        policy.on_completion(
-                            j,
-                            _make_view(
-                                t,
-                                m,
-                                a_ids[:na],
-                                a_rem[:na],
-                                a_work[:na],
-                                a_rel[:na],
-                                a_caps[:na],
-                                speed,
-                            ),
-                        )
-                elif n_done:
-                    done = ids[dpos]
-                    rem_all[done - base if base else done] = rem[dpos]
-                    if has_completion:
-                        for j in done.tolist():
-                            p = int(a_ids[:na].searchsorted(j))
-                            a_ids[p : na - 1] = a_ids[p + 1 : na]
-                            a_blk[:, p : na - 1] = a_blk[:, p + 1 : na]
-                            na -= 1
-                            if vec is not None:
-                                vbuf[p:na] = vbuf[p + 1 : na + 1]
-                                vec = vbuf[:na]
-                            flow[j - base] = t - release[j - base]
-                            completed += 1
-                            completions.append((j, t))
-                            cache = None
-                            c_views += 1
-                            policy.on_completion(
-                                j,
-                                _make_view(
-                                    t,
-                                    m,
-                                    a_ids[:na],
-                                    a_rem[:na],
-                                    a_work[:na],
-                                    a_rel[:na],
-                                    a_caps[:na],
-                                    speed,
-                                ),
-                            )
-                    else:
-                        if sparse_done:
-                            keep = np.ones(na, dtype=bool)
-                            keep[dpos] = False
-                        else:
-                            keep = ~done_mask
-                        nk = na - n_done
-                        a_ids[:nk] = ids[keep]
-                        a_blk[:, :nk] = a_blk[:, :na][:, keep]
-                        na = nk
-                        if vec is not None:
-                            # fancy indexing copies first, so writing the
-                            # result back into the scratch is safe
-                            vbuf[:nk] = vec[keep]
-                            vec = vbuf[:nk]
-                        for j in done.tolist():
-                            flow[j - base] = t - release[j - base]
-                            completed += 1
-                            completions.append((j, t))
-                        cache = None
-
-                # ---- batch-window exit ------------------------------
-                if horizon is not None:
-                    if not (t * admit_mul < horizon):
-                        break
-                elif completed == n:
-                    break
-        finally:
-            self._events = ev
-            self._t = t
-            self._na = na
-            self._next_arrival = ja
-            self._next_rel = next_rel
-            self._rates_cache = cache
-            self._busy_time = busy
-            self._completed = completed
-            self._rate_calls = rate_calls
-            perf.rate_misses += c_miss
-            perf.rate_hits += c_hit
-            perf.checks_run += c_run
-            perf.checks_skipped += c_skip
-            perf.view_reuses += c_reuse
-            perf.view_builds += c_views
-            perf.batch_rate_patches += c_patch
-            if folded:
-                perf.batch_jumps += 1
-                perf.batch_events_folded += folded
-        return ret
-
-    def _inc_steps(self, horizon: float | None) -> bool:
-        """Incremental completion-horizon kernel: :meth:`_inc_step_tail`
-        fused into a :meth:`_batched_steps`-style event loop.
-
-        Eligibility (``_inc_kernel_ok``) is the per-event incremental
-        gate plus no faults and ``use_batch_horizon`` — the same "nothing
-        interleaves a non-arrival/non-completion event" condition the
-        dense batch kernel needs.  Every iteration replicates one
-        ``step()`` invocation exactly (admission threshold, dt bound
-        sequence, lowest-id-first completions, hook views, event
-        accounting), so goldens and the incremental≡dense suite hold
-        against either dense path.  Per-event cost is O((m + changes)
-        log n): the order walk touches the served head, completions pop
-        from the calendar, and nothing sweeps the active set.
-        """
-        if self._weights_dirty:
-            self._push_weights()
-        max_events = self._max_events
-        if not max_events:
-            max_events = self.config.max_events or default_max_events(self._n)
-            self._max_events = max_events
-        perf = self.perf
-        policy = self.policy
-        inc = self._inc
-        order = inc.order
-        cal = inc.cal
-        dust = inc.dust
-        rekey = inc.kind == "remaining"
-        neg = inc.neg
-        speed = self._speed
-        m = self.m
-        n = self._n
-        has_completion = self._has_completion_hook
-        has_arrival = self._has_arrival_hook
-        check_k = self._check_k
-        admit_mul = 1.0 + _ADMIT_TOL
-        a_ids = self._a_ids
-        a_rem = self._a_rem
-        a_caps = self._a_caps
-        a_tol = self._a_tol
-        a_work = self._a_work
-        a_rel = self._a_rel
-        a_blk = self._a_blk
-        flow = self._flow
-        release = self._release
-        work_all = self._work
-        caps_all = self._caps_all
-        tol_all = self._tol
-        rem_all = self._rem
-        completions = self._completions
-        base = self._base
-        key_tie = inc.key_tie
-        rates_stable = self._rates_stable
-        INF = float("inf")
-        folded = 0
-        ev = self._events
-        t = self._t
-        na = self._na
-        ja = self._next_arrival
-        next_rel = self._next_rel
-        busy = self._busy_time
-        completed = self._completed
-        rate_calls = self._rate_calls
-        c_miss = c_hit = c_run = c_skip = c_reuse = c_views = 0
-        ret = True
-        try:
-            while True:
-                ev += 1
-                folded += 1
-                if ev > max_events:
-                    raise FlowSimError(
-                        f"{policy.name}: exceeded {max_events} events "
-                        f"({completed}/{n} jobs done at "
-                        f"t={t:.6g})"
-                        " — Zeno loop?"
-                    )
-
-                # ---- admit arrivals due now -------------------------
-                thresh = t * admit_mul
-                if next_rel <= thresh:
-                    while ja < n and next_rel <= thresh:
-                        r = ja - base
-                        w = work_all[r]
-                        a_ids[na] = ja
-                        a_rem[na] = w
-                        a_caps[na] = caps_all[r]
-                        a_tol[na] = tol_all[r]
-                        a_work[na] = w
-                        a_rel[na] = release[r]
-                        na += 1
-                        rem_all[r] = w
-                        wf = float(w)
-                        order.insert(*key_tie(ja, wf, wf, float(release[r])))
-                        if w <= tol_all[r]:
-                            dust.append(ja)
-                        inc.alloc = None
-                        ja += 1
-                        next_rel = (
-                            float(release[ja - base]) if ja < n else np.inf
-                        )
-                        if has_arrival:
-                            c_views += 1
-                            policy.on_arrival(
-                                ja - 1,
-                                _make_view(
-                                    t,
-                                    m,
-                                    a_ids[:na],
-                                    a_rem[:na],
-                                    a_work[:na],
-                                    a_rel[:na],
-                                    a_caps[:na],
-                                    speed,
-                                ),
-                            )
-                if not na:
-                    if ja < n:
-                        if horizon is not None and (
-                            next_rel > horizon * admit_mul
-                        ):
-                            t = max(t, float(horizon))
-                            ret = False
-                            break
-                        t = max(t, next_rel)
-                        if horizon is not None and not (
-                            t * admit_mul < horizon
-                        ):
-                            break
-                        continue
-                    if horizon is not None:
-                        t = max(t, float(horizon))
-                    ret = False
-                    break
-
-                # ---- constant-rate segment until the next event -----
-                rem = a_rem[:na]
-                alloc = inc.alloc
-                if alloc is None:
-                    c_miss += 1
-                    alloc = self._inc_build_alloc(na, m)
-                    calls = rate_calls
-                    rate_calls = calls + 1
-                    if calls % check_k:
-                        c_skip += 1
-                    else:
-                        c_run += 1
-                        self._inc_check_alloc(alloc, na, m)
-                    if rates_stable:
-                        inc.alloc = alloc
-                else:
-                    c_hit += 1
-                c_reuse += 1
-                pos, rates, rsum = alloc
-                ns = pos.size
-                if ns:
-                    rem_s = rem[pos]
-                    eff_s = rates * speed if speed != 1.0 else rates
-                    served_ids = a_ids[:na][pos].tolist()
-                    newset = set(served_ids)
-                    for j in inc.cal_jobs - newset:
-                        cal.discard(j)
-                    inc.cal_jobs = newset
-                    qs = (rem_s / eff_s).tolist()
-                    for i in range(ns):
-                        cal.update(served_ids[i], qs[i])
-                    dt = cal.min_quotient()
-                else:
-                    if inc.cal_jobs:
-                        for j in inc.cal_jobs:
-                            cal.discard(j)
-                        inc.cal_jobs = set()
-                    dt = INF
-                if ja < n:
-                    dt_arr = next_rel - t
-                    if dt_arr < dt:
-                        dt = dt_arr
-                if horizon is not None and horizon > t:
-                    dt_hor = float(horizon) - t
-                    if dt_hor < dt:
-                        dt = dt_hor
-
-                if dt == INF:
-                    if horizon is not None:
-                        ret = False
-                        break
-                    raise FlowSimError(
-                        f"{policy.name}: stalled at t={t:.6g} with "
-                        f"{na} active jobs, zero rates and no "
-                        "future events"
-                    )
-                if dt < 0:
-                    raise FlowSimError(
-                        f"{policy.name}: negative time step {dt}"
-                    )
-
-                if dt > 0:
-                    if ns:
-                        rem[pos] -= eff_s * dt
-                    busy += rsum * dt
-                    t += dt
-                    if rekey and ns:
-                        olds = rem_s.tolist()
-                        news = rem[pos].tolist()
-                        for i in range(ns):
-                            ov = olds[i]
-                            nv = news[i]
-                            if nv == ov:
-                                continue
-                            j = served_ids[i]
-                            if neg:
-                                order.remove(-ov, -j)
-                                order.insert(-nv, -j)
-                            else:
-                                order.remove(ov, j)
-                                order.insert(nv, j)
-
-                # ---- completions ------------------------------------
-                done: list[int] = []
-                if ns:
-                    dm = rem[pos] <= a_tol[:na][pos]
-                    if dm.any():
-                        done = [served_ids[i] for i in np.flatnonzero(dm)]
-                if dust:
-                    # no faults here: every dust entry is still active
-                    ds = set(done)
-                    for j in dust:
-                        if j not in ds:
-                            done.append(j)
-                    del dust[:]
-                    done.sort()
-                for j in done:
-                    p = int(a_ids[:na].searchsorted(j))
-                    r = j - base
-                    rem_all[r] = a_rem[p]
-                    order.remove(
-                        *key_tie(
-                            j, float(a_rem[p]), float(a_work[p]),
-                            float(a_rel[p]),
-                        )
-                    )
-                    cal.discard(j)
-                    inc.cal_jobs.discard(j)
-                    a_ids[p : na - 1] = a_ids[p + 1 : na]
-                    a_blk[:, p : na - 1] = a_blk[:, p + 1 : na]
-                    na -= 1
-                    flow[r] = t - release[r]
-                    completed += 1
-                    completions.append((j, t))
-                    inc.alloc = None
-                    if has_completion:
-                        c_views += 1
-                        policy.on_completion(
-                            j,
-                            _make_view(
-                                t,
-                                m,
-                                a_ids[:na],
-                                a_rem[:na],
-                                a_work[:na],
-                                a_rel[:na],
-                                a_caps[:na],
-                                speed,
-                            ),
-                        )
-
-                # ---- batch-window exit ------------------------------
-                if horizon is not None:
-                    if not (t * admit_mul < horizon):
-                        break
-                elif completed == n:
-                    break
-        finally:
-            self._events = ev
-            self._t = t
-            self._na = na
-            self._next_arrival = ja
-            self._next_rel = next_rel
-            self._busy_time = busy
-            self._completed = completed
-            self._rate_calls = rate_calls
-            perf.rate_misses += c_miss
-            perf.rate_hits += c_hit
-            perf.checks_run += c_run
-            perf.checks_skipped += c_skip
-            perf.view_reuses += c_reuse
-            perf.view_builds += c_views
-            if folded:
-                perf.batch_jumps += 1
-                perf.batch_events_folded += folded
-            self._inc_sync_perf()
-        return ret
-
-    def advance_to(self, t: float) -> None:
-        """Process every event with time ≤ ``t`` and park the clock there.
-
-        A no-op when ``t`` is not ahead of the clock (rewinding is
-        impossible; the clock never moves backwards).
-        """
-        t = float(t)
-        while self._t * (1 + _ADMIT_TOL) < t:
-            if self._inc_spec is not None and self._inc is None:
-                if self._na >= self._inc_min:
-                    self._inc_promote()
-            if self._inc_kernel_ok:
-                ok = self._inc_steps(t)
-            elif self._batch_ok:
-                ok = self._batched_steps(t)
-            else:
-                ok = self.step(horizon=t)
-            if not ok:
-                break
-
-    def drain(self) -> None:
-        """Step until every registered job has completed."""
-        while self._completed < self._n:
-            if self._inc_spec is not None and self._inc is None:
-                if self._na >= self._inc_min:
-                    self._inc_promote()
-            if self._inc_kernel_ok:
-                ok = self._inc_steps(None)
-            elif self._batch_ok:
-                ok = self._batched_steps(None)
-            else:
-                ok = self.step()
-            if not ok:
-                break  # unreachable while jobs remain; defensive
 
     # -- streaming harvest -------------------------------------------------
 
@@ -2491,8 +1840,6 @@ class FlowStepper:
                 "use_profiles": self.config.use_profiles,
                 "record_segments": self.config.record_segments,
                 "check_every_k": self.config.check_every_k,
-                "use_rates_array": self.config.use_rates_array,
-                "use_batch_horizon": self.config.use_batch_horizon,
                 "use_incremental": self.config.use_incremental,
                 "incremental_min_active": self.config.incremental_min_active,
             },
@@ -2533,7 +1880,12 @@ class FlowStepper:
         handing us a mid-run policy, and resetting it would wipe exactly
         what a checkpoint is meant to preserve).
         """
-        cfg = FlowSimConfig(**state["config"])
+        # snapshots written before the event loop was unified carry two
+        # retired knobs; they selected execution paths, never results
+        cfg = FlowSimConfig(**{
+            k: v for k, v in state["config"].items()
+            if k not in ("use_rates_array", "use_batch_horizon")
+        })
         stepper = cls.__new__(cls)
         stepper.m = int(state["m"])
         stepper.policy = policy

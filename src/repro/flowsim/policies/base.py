@@ -20,7 +20,7 @@ __all__ = ["ActiveView", "OrderSpec", "Policy"]
 
 @dataclass(frozen=True)
 class OrderSpec:
-    """Declarative priority order for the engine's incremental kernels.
+    """Declarative priority order for the engine's order backing.
 
     A policy whose allocation is a pure function of a *sorted order* over
     the active set can declare that order here instead of re-sorting on
@@ -116,7 +116,14 @@ class Policy(abc.ABC):
 
     :meth:`rates` must return a *fresh* array on every call (never a view
     of internal state that a later hook mutates): the engine may hold on
-    to the vector across events when :attr:`rates_stable` permits.
+    to the vector across events when :attr:`rates_stable` permits.  Rates
+    must be nonnegative on *every* call, not merely on the amortized
+    ``check_every_k`` verification grid: when few jobs are served the
+    engine progresses only the positive-rate entries, so an unchecked
+    negative rate would turn into progress or not depending on how many
+    jobs happen to be served.  Nor may a
+    policy treat the *number* of rate calls as information (e.g. count
+    them as a clock): how many the engine makes is an execution detail.
     """
 
     #: Human-readable name used in results and plots.
@@ -141,37 +148,18 @@ class Policy(abc.ABC):
     #: ``False``.
     rates_stable: bool = False
 
-    #: **Batched-horizon opt-in** (the flowsim completion-horizon
-    #: kernel).  ``True`` lets the engine fold whole runs of events
-    #: between true decision points — every completion before the next
-    #: arrival, and the arrivals themselves — into one vectorized kernel
-    #: pass over its flat buffers instead of one ``step()`` per event
-    #: (``FlowStepper.drain`` / ``advance_to``).  The kernel preserves
-    #: the exact hook order, view contents and RNG draw sequence, so the
-    #: opt-in adds only two requirements on top of :attr:`rates_stable`
-    #: (which it presumes, together with a :meth:`rates_array`
-    #: override): the policy must not treat the *number* of engine
-    #: iterations as information (e.g. counting ``rates`` calls as a
-    #: clock), and :meth:`rates_array` must return nonnegative rates on
-    #: every call — not merely on the amortized ``check_every_k``
-    #: verification grid, since the kernel's sparse updates skip
-    #: zero-rate entries that a negative rate would silently turn into
-    #: (erroneous) progress.  Every bundled ``rates_stable`` policy
-    #: satisfies all of this and opts in.
-    batch_horizon: bool = False
-
-    #: **Incremental-order opt-in** (the flowsim order/calendar
-    #: kernels).  A :class:`OrderSpec` declares that the policy's rate
+    #: **Incremental-order opt-in** (the flowsim event loop's order
+    #: backing).  A :class:`OrderSpec` declares that the policy's rate
     #: vector is fully determined by one sorted order over the active
     #: set plus an allocation shape, letting the engine maintain that
     #: order incrementally (``repro.flowsim.order.OrderIndex``) and
     #: predict completions through a lazy calendar instead of
     #: re-sorting/rescanning per event.  The spec must describe
     #: :meth:`rates_array` *exactly* — same keys, same tie-breaks, same
-    #: allocation — since the engine stops calling the hook on the
-    #: incremental path and the equivalence suite pins bit-for-bit
-    #: equality against it.  ``None`` (the default) keeps the policy on
-    #: the dense paths.
+    #: allocation — since the engine stops calling the hook on the order
+    #: backing and the equivalence suite pins bit-for-bit equality
+    #: against it.  ``None`` (the default) keeps the policy on the dense
+    #: backing.
     order_spec: "OrderSpec | None" = None
 
     def reset(self, m: int, rng: np.random.Generator) -> None:
@@ -229,21 +217,20 @@ class Policy(abc.ABC):
         * the input arrays alias live engine state — never mutate or
           retain them; always return a fresh array.
 
-        The engine only uses the hook when
-        :attr:`repro.flowsim.engine.FlowSimConfig.use_rates_array` is on
-        (default) and the policy actually overrides it; everything else
-        falls back to the object path.  Timer policies still receive
-        their :meth:`next_timer` view.
+        The engine uses the hook whenever the policy overrides it; other
+        policies are asked through :meth:`rates` on a materialized view.
+        Timer policies still receive their :meth:`next_timer` view.
         """
         raise NotImplementedError(f"{self.name} has no vectorized rate hook")
 
     def rates_array_patch(
         self, job_ids: np.ndarray, caps: np.ndarray
     ) -> list[tuple[int, float]] | None:
-        """Optional sparse complement of :meth:`rates_array` (batch kernel).
+        """Optional sparse complement of :meth:`rates_array`.
 
-        At a decision point inside the completion-horizon kernel the
-        engine already holds the previous segment's rate vector and has
+        At a decision point of a rates-stable policy (see
+        :attr:`rates_stable`) the engine's event loop usually still holds
+        the previous segment's rate vector and has
         *structurally aligned* it to the new composition — completed
         entries dropped, admitted jobs appended with rate ``0.0``, order
         still matching ``job_ids``.  A policy whose rate changes are
@@ -260,7 +247,7 @@ class Policy(abc.ABC):
         Return ``None`` (the default) to force a full recompute.  The
         engine still runs the amortized ``check_every_k`` invariant
         verification on the patched vector at the exact same cadence as
-        the per-event path, so a patch is never exempt from checking.
+        a full rebuild, so a patch is never exempt from checking.
         """
         return None
 

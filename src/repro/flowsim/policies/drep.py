@@ -98,7 +98,6 @@ class _DrepBase(Policy):
     # the assignment table only changes inside the arrival/completion
     # hooks, so the rate vector is stable between composition changes
     rates_stable = True
-    batch_horizon = True
 
     def __init__(self, arrival_switch_prob: float | None = None) -> None:
         if arrival_switch_prob is not None and not 0 < arrival_switch_prob <= 1:

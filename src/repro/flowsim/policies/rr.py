@@ -28,7 +28,6 @@ class RoundRobin(Policy):
     name = "RR"
     clairvoyant = False
     rates_stable = True  # equal split over static caps
-    batch_horizon = True
 
     def rates(self, view: ActiveView) -> np.ndarray:
         return equal_split(view.caps, view.m)

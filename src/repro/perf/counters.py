@@ -6,17 +6,18 @@ how often was the cached rate vector reused (``rate_hits`` vs
 (``checks_run`` vs ``checks_skipped``), how many flowsim segments ran
 entirely on the flat SoA buffers without materializing an ActiveView
 (``view_reuses``; ``view_builds`` counts the views that were built for
-hooks/timers/object-path policies), how many unit steps the wsim
+hooks, timers and ``rates(view)``-only policies), how many unit steps the wsim
 event-horizon kernel skipped (``horizon_jumps`` / ``horizon_steps_saved``),
 how many runs fell off the kernel's dyadic-grid exactness contract and
 took the pure per-step path (``exactness_fallbacks``), what the flowsim
-completion-horizon batch kernel absorbed (``batch_jumps`` kernel entries
-folding ``batch_events_folded`` events that would otherwise each have
-been a ``step()`` call, of which ``batch_rate_patches`` decision points
-refreshed the rate vector through the policy's sparse
-``rates_array_patch`` instead of a full ``rates_array`` rebuild), what
-the incremental order/calendar kernels did (``order_ops`` structural
-mutations of the live priority order, ``calendar_pops`` heap pops and
+event loop processed (``batch_jumps`` loop entries — one per ``drain`` /
+``advance_to`` call that had work — processing ``batch_events_folded``
+events, which equals ``events`` on every run of a fresh stepper since
+every event runs in the loop; ``batch_rate_patches`` decision points refreshed the
+rate vector through the policy's sparse ``rates_array_patch`` instead
+of a full ``rates_array`` rebuild), what the incremental order/calendar
+backing did (``order_ops`` structural mutations of the live priority
+order, ``calendar_pops`` heap pops and
 ``calendar_invalidations`` superseded entries in the completion
 calendar — see ``docs/performance.md`` for the per-policy complexity
 table they evidence), and what the grid-runner pool dispatched

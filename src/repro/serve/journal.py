@@ -36,7 +36,6 @@ import json
 import os
 from pathlib import Path
 
-from repro.core.metrics import ScheduleResult
 from repro.flowsim.engine import FlowSimError
 from repro.serve.online import OnlineScheduler
 
@@ -254,17 +253,6 @@ def recover(
         last_seq = entry["seq"]
         replayed += 1
     return scheduler, last_seq, replayed
-
-
-def drain_result_equal(a: ScheduleResult, b: ScheduleResult) -> bool:
-    """Bit-for-bit comparison used by the crash-recovery checks."""
-    import numpy as np
-
-    return (
-        a.flow_times.shape == b.flow_times.shape
-        and bool(np.all(a.flow_times == b.flow_times))
-        and a.makespan == b.makespan
-    )
 
 
 def _last_seq(directory: Path) -> int:

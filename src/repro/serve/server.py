@@ -305,7 +305,9 @@ class SchedulerServer:
             self._clients[task] = writer
         try:
             while True:
-                line, early_error = await self._read_line(reader)
+                line, early_error = await read_line(
+                    reader, self.config.max_line_bytes
+                )
                 if line is None and early_error is None:
                     break  # clean EOF
                 if early_error is not None:
@@ -314,7 +316,7 @@ class SchedulerServer:
                 else:
                     assert line is not None
                     response = await self._dispatch_line(line)
-                payload = _encode_response(response)
+                payload = encode_response(response)
                 writer.write(payload)
                 await writer.drain()
                 if isinstance(response, dict) and response.get("bye"):
@@ -325,48 +327,6 @@ class SchedulerServer:
             if task is not None:
                 self._clients.pop(task, None)
             writer.close()
-
-    async def _read_line(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[bytes | None, dict | None]:
-        """One framed line, or a structured error for an oversized one.
-
-        Returns ``(line, None)`` normally, ``(None, error_response)`` for
-        a line longer than ``max_line_bytes`` (after discarding up to the
-        next newline so the stream stays framed), and ``(None, None)``
-        at EOF.  One bad line never costs the connection.
-        """
-        try:
-            return await reader.readuntil(b"\n"), None
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                return bytes(exc.partial), None  # unterminated final line
-            return None, None
-        except asyncio.LimitOverrunError:
-            discarded = await self._discard_to_newline(reader)
-            return None, {
-                "ok": False,
-                "error": (
-                    f"line too long (> {self.config.max_line_bytes} bytes, "
-                    f"{discarded} discarded)"
-                ),
-            }
-
-    @staticmethod
-    async def _discard_to_newline(reader: asyncio.StreamReader) -> int:
-        """Drop buffered bytes until the next newline (framing resync)."""
-        discarded = 0
-        while True:
-            try:
-                discarded += len(await reader.readuntil(b"\n"))
-                return discarded
-            except asyncio.LimitOverrunError as exc:
-                # the first `consumed` buffered bytes hold no newline —
-                # safe to drop without eating the next request
-                chunk = await reader.readexactly(max(1, exc.consumed))
-                discarded += len(chunk)
-            except asyncio.IncompleteReadError as exc:
-                return discarded + len(exc.partial)
 
     async def _dispatch_line(self, line: bytes) -> dict:
         try:
@@ -652,7 +612,52 @@ def _jsonable(v) -> bool:
     return isinstance(v, (bool, int, float, str)) or v is None
 
 
-def _encode_response(response: dict) -> bytes:
+async def read_line(
+    reader: asyncio.StreamReader, max_line_bytes: int
+) -> tuple[bytes | None, dict | None]:
+    """One framed request line, or a structured error for an oversized one.
+
+    Returns ``(line, None)`` normally, ``(None, error_response)`` for a
+    line longer than ``max_line_bytes`` (the reader's ``limit``; the rest
+    of the line is discarded so the stream stays framed), and
+    ``(None, None)`` at EOF.  One bad line never costs the connection.
+    Both JSON-lines listeners — :class:`SchedulerServer` and the sharded
+    :class:`repro.serve.shard.ShardFrontend` — read through this.
+    """
+    try:
+        return await reader.readuntil(b"\n"), None
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            return bytes(exc.partial), None  # unterminated final line
+        return None, None
+    except asyncio.LimitOverrunError:
+        discarded = await discard_to_newline(reader)
+        return None, {
+            "ok": False,
+            "error": (
+                f"line too long (> {max_line_bytes} bytes, "
+                f"{discarded} discarded)"
+            ),
+        }
+
+
+async def discard_to_newline(reader: asyncio.StreamReader) -> int:
+    """Drop buffered bytes until the next newline (framing resync)."""
+    discarded = 0
+    while True:
+        try:
+            discarded += len(await reader.readuntil(b"\n"))
+            return discarded
+        except asyncio.LimitOverrunError as exc:
+            # the first `consumed` buffered bytes hold no newline —
+            # safe to drop without eating the next request
+            chunk = await reader.readexactly(max(1, exc.consumed))
+            discarded += len(chunk)
+        except asyncio.IncompleteReadError as exc:
+            return discarded + len(exc.partial)
+
+
+def encode_response(response: dict) -> bytes:
     """Serialize a response; a bad payload still yields a valid line."""
     try:
         return json.dumps(response).encode() + b"\n"

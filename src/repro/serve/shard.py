@@ -61,7 +61,12 @@ import numpy as np
 from repro.core.rng import derive_seed
 from repro.serve.loadgen import retry_delay
 from repro.serve.admission import AdmissionConfig, AdmissionDecision
-from repro.serve.server import SchedulerServer, ServeConfig
+from repro.serve.server import (
+    SchedulerServer,
+    ServeConfig,
+    encode_response,
+    read_line,
+)
 from repro.serve.tenancy import DEFAULT_TENANT, MultiTenantAdmission, TenancyConfig
 
 __all__ = [
@@ -836,17 +841,26 @@ class ShardFrontend:
     Speaks the same framing as :class:`~repro.serve.server.SchedulerServer`
     with the router-level op set: ``hello``, ``submit`` (with ``tenant``
     and optional ``key``), ``advance``, ``stats``, ``tenants``, ``ping``,
-    ``drain`` (the merged report) and ``shutdown``.  Router calls block
+    ``drain`` (the merged report) and ``shutdown``.  A request line over
+    ``max_line_bytes`` is answered with a ``line too long`` error and
+    skipped, exactly as the serial server does.  Router calls block
     briefly on shard sockets; requests are serialized, which is also
     what keeps the routing log deterministic.
     """
 
     def __init__(
-        self, router: ShardRouter, host: str = "127.0.0.1", port: int = 0
+        self,
+        router: ShardRouter,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_line_bytes: int = ServeConfig.max_line_bytes,
     ) -> None:
+        if max_line_bytes < 64:
+            raise ValueError("max_line_bytes must be >= 64")
         self.router = router
         self.host = host
         self._requested_port = port
+        self.max_line_bytes = max_line_bytes
         self._server = None
         self._stopped = None
 
@@ -860,7 +874,10 @@ class ShardFrontend:
 
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self._requested_port
+            self._handle,
+            self.host,
+            self._requested_port,
+            limit=self.max_line_bytes,
         )
 
     async def wait_closed(self) -> None:
@@ -879,11 +896,11 @@ class ShardFrontend:
     async def _handle(self, reader, writer) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                response = self._dispatch(line)
-                writer.write(json.dumps(response).encode() + b"\n")
+                line, early_error = await read_line(reader, self.max_line_bytes)
+                if line is None and early_error is None:
+                    break  # clean EOF
+                response = early_error or self._dispatch(line)
+                writer.write(encode_response(response))
                 await writer.drain()
                 if response.get("bye"):
                     import asyncio

@@ -23,6 +23,7 @@ from repro.analysis.experiments import scale_trace
 from repro.core.job import ParallelismMode
 from repro.flowsim.engine import FlowSimConfig, FlowStepper
 from repro.flowsim.policies import policy_by_name
+from repro.flowsim.policies.base import ActiveView
 from repro.workloads.traces import attach_dags, generate_trace
 from repro.wsim.runtime import WsConfig, WsRuntime
 from repro.wsim.schedulers import ws_scheduler_by_name
@@ -77,8 +78,44 @@ def flow_profiled_trace():
     return attach_dags(scale_trace(base, 100.0), parallelism=8, seed=44)
 
 
-def run_flow_case(trace, m, policy_name, seed, config=FlowSimConfig()):
+def route_through_rates(policy):
+    """Make the engine reach ``policy`` only through ``rates(view)``.
+
+    The engine calls ``rates_array`` on the policy *instance*; shadowing
+    it with a shim that builds an :class:`ActiveView` and calls
+    ``rates`` runs the object path of every hook policy.  The sparse
+    patch is switched off (every decision point rebuilds through the
+    shim) and the order spec removed (the order backing would bypass
+    the hook altogether).  Returns the policy for chaining.
+    """
+
+    def rates_array(t, m, job_ids, remaining, work, release, caps):
+        view = ActiveView(
+            t=t, m=m, job_ids=job_ids, remaining=remaining, work=work,
+            release=release, caps=caps,
+        )
+        # some policies implement rates() on top of their own class
+        # rates_array: unshadow it for the duration of the call
+        del policy.rates_array
+        try:
+            return policy.rates(view)
+        finally:
+            policy.rates_array = rates_array
+
+    policy.rates_array = rates_array
+    policy.rates_array_patch = lambda job_ids, caps: None
+    policy.order_spec = None
+    return policy
+
+
+def run_flow_case(
+    trace, m, policy_name, seed, config=FlowSimConfig(), routed=False
+):
+    """Drain ``trace`` and record everything the goldens pin; ``routed``
+    sends the policy through :func:`route_through_rates` first."""
     policy = policy_by_name(policy_name)
+    if routed:
+        route_through_rates(policy)
     stepper = FlowStepper(m, policy, seed=seed, config=config)
     for spec in trace.jobs:
         stepper.add_job(spec)

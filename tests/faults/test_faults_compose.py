@@ -3,23 +3,31 @@
 Faults exercise the engine paths the vectorized hot loop had to keep
 intact — mid-run capacity changes, job aborts (active-set removal), and
 resume re-insertion — so every plan kind is run through both the SoA
-path and the legacy object path and must agree exactly.  The pool side
-checks that `FaultPlan`s survive per-cell pickling: a resilience grid
-must produce the same rows whether the plans ride to a worker process
-or never leave the parent.
+path and the object path (the policy routed through ``rates(view)``)
+and must agree exactly.  The pool side checks that `FaultPlan`s survive
+per-cell pickling: a resilience grid must produce the same rows whether
+the plans ride to a worker process or never leave the parent.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from repro.faults.experiment import run_resilience_experiment
 from repro.faults.plan import named_fault_plans
-from repro.flowsim.engine import FlowSimConfig, simulate
+from repro.flowsim.engine import simulate
 from repro.flowsim.policies import policy_by_name
 from repro.workloads.traces import generate_trace
 
-OBJECT_PATH = FlowSimConfig(use_rates_array=False)
+DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+_spec = importlib.util.spec_from_file_location(
+    "gen_goldens", DATA_DIR / "gen_goldens.py"
+)
+gen_goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen_goldens)
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +59,8 @@ class TestSoaPathUnderFaults:
             trace, 4, policy_by_name(policy), seed=17, faults=plan
         )
         obj = simulate(
-            trace, 4, policy_by_name(policy), seed=17, faults=plan,
-            config=OBJECT_PATH,
+            trace, 4, gen_goldens.route_through_rates(policy_by_name(policy)),
+            seed=17, faults=plan,
         )
         assert _record(soa) == _record(obj)
 

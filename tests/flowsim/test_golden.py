@@ -97,36 +97,29 @@ def test_check_every_k_is_pure_validation(seq_trace, policy, k):
     assert json.loads(json.dumps(got)) == GOLDEN[f"seq/{policy}"]
 
 
-# -- the vectorized rates_array hook vs the legacy object path ------------
+# -- the vectorized rates_array hook vs the object path -------------------
 #
-# `use_rates_array=False` forces every policy through `rates(view)` even
-# when it implements the vectorized hook.  Both paths must hit the same
+# `routed=True` sends every hook policy through `rates(view)` (see
+# `gen_goldens.route_through_rates`).  Both surfaces must hit the same
 # goldens bit-for-bit: the hook is an execution strategy, never semantics.
 
 
 @pytest.mark.parametrize("policy", gen_goldens.FLOW_SEQ_POLICIES)
 def test_sequential_object_path_bit_for_bit(seq_trace, policy):
-    got = gen_goldens.run_flow_case(
-        seq_trace, 4, policy, seed=7, config=FlowSimConfig(use_rates_array=False)
-    )
+    got = gen_goldens.run_flow_case(seq_trace, 4, policy, seed=7, routed=True)
     assert json.loads(json.dumps(got)) == GOLDEN[f"seq/{policy}"]
 
 
 @pytest.mark.parametrize("policy", gen_goldens.FLOW_PAR_POLICIES)
 def test_parallel_object_path_bit_for_bit(par_trace, policy):
-    got = gen_goldens.run_flow_case(
-        par_trace, 4, policy, seed=7, config=FlowSimConfig(use_rates_array=False)
-    )
+    got = gen_goldens.run_flow_case(par_trace, 4, policy, seed=7, routed=True)
     assert json.loads(json.dumps(got)) == GOLDEN[f"par/{policy}"]
 
 
 def test_speed_augmented_object_path_bit_for_bit(seq_trace):
     got = gen_goldens.run_flow_case(
-        seq_trace,
-        4,
-        "drep",
-        seed=7,
-        config=FlowSimConfig(speed=2.0, use_rates_array=False),
+        seq_trace, 4, "drep", seed=7, config=FlowSimConfig(speed=2.0),
+        routed=True,
     )
     assert json.loads(json.dumps(got)) == GOLDEN["seq/drep/speed2"]
 
@@ -137,6 +130,7 @@ def test_profiled_object_path_bit_for_bit():
         4,
         "srpt",
         seed=7,
-        config=FlowSimConfig(use_profiles=True, use_rates_array=False),
+        config=FlowSimConfig(use_profiles=True),
+        routed=True,
     )
     assert json.loads(json.dumps(got)) == GOLDEN["profiled/srpt"]

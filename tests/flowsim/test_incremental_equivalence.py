@@ -9,12 +9,11 @@ the whole active set and scanning every remaining-work entry per event;
 scan.  These tests generate random instances with Hypothesis and require
 the two executions to agree *exactly* — per-job flow times at full float
 precision, event/switch counters, utilization — across policies, check
-cadences, fault plans, streaming chunkings, and the batch-kernel on/off
-axis.
+cadences, fault plans, streaming chunkings, and horizon-stepped runs.
 
-The sibling files pin the other engine equivalences: ``test_soa_equivalence``
-(SoA ≡ object path) and ``test_batch_equivalence`` (batch kernel ≡ unit
-steps).  This one pins PR 10's O(log n) structures to all of them.
+The sibling file ``test_soa_equivalence`` pins the event loop's other
+equivalences (SoA ≡ object path, drain ≡ advance_to); this one pins the
+O(log n) order backing to the dense one.
 """
 
 from __future__ import annotations
@@ -99,9 +98,9 @@ def test_incremental_equals_dense(inst, policy_idx, seed):
     k=st.sampled_from([1, 7, 1000]),
 )
 def test_incremental_equals_dense_under_check_k(inst, policy_idx, k):
-    """The incremental tail must honor the amortized-check cadence —
+    """The order backing must honor the amortized-check cadence —
     ``checks_run``/``checks_skipped`` advance only on alloc rebuilds,
-    exactly as ``_check_rates`` does on the dense path."""
+    exactly as rate rebuilds do on the dense backing."""
     trace, m, mode = inst
     policy = ORDER_POLICIES[policy_idx]
     inc = gen_goldens.run_flow_case(
@@ -123,23 +122,29 @@ def test_incremental_equals_dense_under_check_k(inst, policy_idx, k):
     inst=random_instance(),
     policy_idx=st.integers(0, len(ORDER_POLICIES) - 1),
     seed=st.integers(0, 10),
+    step=st.sampled_from([0.25, 1.0, 3.0]),
 )
-def test_incremental_equals_dense_unit_steps(inst, policy_idx, seed):
-    """With the batch kernel off, the per-event incremental tail
-    (``_inc_step_tail``) must still match the dense ``step()`` exactly."""
+def test_incremental_equals_dense_unit_steps(inst, policy_idx, seed, step):
+    """Advanced in fixed time steps (the serving layer's pattern — every
+    horizon stop splits a segment and parks the clock mid-run), both
+    backings must still agree exactly."""
     trace, m, mode = inst
     policy = ORDER_POLICIES[policy_idx]
-    inc = gen_goldens.run_flow_case(
-        trace, m, policy, seed=seed,
-        config=FlowSimConfig(
-            use_batch_horizon=False, incremental_min_active=0
-        ),
-    )
-    dense = gen_goldens.run_flow_case(
-        trace, m, policy, seed=seed,
-        config=FlowSimConfig(use_batch_horizon=False, use_incremental=False),
-    )
-    assert inc == dense
+
+    def run(config):
+        stepper = FlowStepper(m, policy_by_name(policy), seed=seed, config=config)
+        stepper.add_jobs(list(trace.jobs))
+        horizon = 0.0
+        while not stepper.drained:
+            horizon += step
+            stepper.advance_to(horizon)
+        r = stepper.result()
+        return (
+            r.flow_times.tolist(), r.extra["events"], r.makespan,
+            r.extra["utilization"],
+        )
+
+    assert run(INC) == run(DENSE)
 
 
 @settings(max_examples=25, deadline=None)
@@ -173,8 +178,8 @@ def test_incremental_streaming_chunk_invariance(inst, policy_idx, chunk, harvest
 @pytest.mark.parametrize("policy", ORDER_POLICIES)
 @pytest.mark.parametrize("plan_name", ["rolling", "half-down", "random"])
 def test_incremental_under_fault_plans(policy, plan_name):
-    """Fault timelines force the per-event tail; structures must track
-    mass evictions, rate degradations and requeues bit for bit."""
+    """Under fault timelines the structures must track mass evictions,
+    rate degradations and requeues bit for bit."""
     trace = generate_trace(120, "finance", 0.7, 4, seed=17)
     horizon = max(j.release for j in trace.jobs) + 50.0
     inc = simulate(
@@ -208,12 +213,13 @@ def test_incremental_kernel_actually_engages():
 
 
 def test_object_path_forces_dense_fallback():
-    """``use_rates_array=False`` removes the SoA surface the incremental
-    core needs; the engine must stand down to the object path, not drift."""
+    """Routed through ``rates(view)`` the policy offers no order spec the
+    incremental core could use; the engine must stay on the dense
+    backing, not drift."""
     trace = generate_trace(80, "bing", 0.7, 4, seed=11)
     obj = simulate(
-        trace, 4, policy_by_name("srpt"), seed=11,
-        config=FlowSimConfig(use_rates_array=False),
+        trace, 4, gen_goldens.route_through_rates(policy_by_name("srpt")),
+        seed=11, config=INC,
     )
     perf = dict(obj.extra.get("perf", {}))
     assert perf.get("order_ops", 0) == 0

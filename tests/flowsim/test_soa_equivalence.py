@@ -1,15 +1,24 @@
-"""Property tests: the SoA fast path ≡ the legacy object path, always.
+"""Property tests: every way of driving the flowsim event loop agrees.
 
-The engine runs policies that implement the vectorized ``rates_array``
-hook directly on its flat structure-of-arrays buffers;
-``use_rates_array=False`` forces the same policies through the classic
-``rates(ActiveView)`` path.  These tests generate random instances with
-Hypothesis and require the two executions to agree *exactly* — per-job
-flow times at full float precision, event/switch counters, and the
-policy RNG end-state digest — for every policy that has the hook.
+The engine has one event loop.  What varies is how it is driven and
+which policy surface it reads, and none of that may change a result:
 
-The golden tests pin both paths to a frozen fixture; this file pins them
-to *each other* on inputs nobody hand-picked.
+* **drain ≡ advance_to** — parking the clock at event times splits no
+  constant-rate segment, so a run advanced through random release
+  times and then drained must equal one plain ``drain`` (the serving
+  layer's access pattern against the batch harness's), and a stop at an
+  arbitrary horizon parks the clock exactly there;
+* **SoA ≡ object path** — hook policies normally get the engine's flat
+  structure-of-arrays buffers through ``rates_array`` (with sparse
+  ``rates_array_patch`` refreshes); ``gen_goldens.route_through_rates``
+  reroutes the same policy instance through ``rates(ActiveView)``.
+
+Both are checked on Hypothesis instances across policies, amortized
+check cadences and fault plans; "agree" means per-job flow times at
+full float precision, event/switch counters, utilization, the fault log
+and the policy RNG end-state digest.  The goldens pin both surfaces to a
+frozen fixture; this file pins them to each other on inputs nobody
+hand-picked.
 """
 
 from __future__ import annotations
@@ -22,9 +31,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.job import JobSpec, ParallelismMode
-from repro.flowsim.engine import FlowSimConfig, simulate
+from repro.faults import named_fault_plans
+from repro.flowsim.engine import FlowSimConfig, FlowStepper
 from repro.flowsim.policies import policy_by_name
-from repro.workloads.traces import Trace
+from repro.workloads.traces import Trace, generate_trace
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 _spec = importlib.util.spec_from_file_location(
@@ -36,8 +46,12 @@ _spec.loader.exec_module(gen_goldens)
 #: every policy implementing the vectorized hook, by mode it supports
 HOOK_POLICIES_SEQ = ["srpt", "sjf", "fifo", "rr", "laps", "drep", "hdf", "wsrpt", "wdrep"]
 HOOK_POLICIES_PAR = ["srpt", "swf", "rr", "laps", "drep-par"]
+#: policies with only ``rates(view)`` (timers, randomness)
+VIEW_POLICIES = ["mlf", "setf", "random-np"]
 
-OBJECT_PATH = FlowSimConfig(use_rates_array=False)
+PLANS = [None, "rolling", "half-down", "brownout", "random"]
+#: weighted DREP has no rule for re-seating a recovered processor
+NO_FAULTS = {"wdrep"}
 
 
 @st.composite
@@ -67,75 +81,132 @@ def random_instance(draw):
     return Trace(jobs=jobs, m=m), m, mode
 
 
+def _pick(mode, idx, extra=()):
+    seq = mode is ParallelismMode.SEQUENTIAL
+    names = (HOOK_POLICIES_SEQ if seq else HOOK_POLICIES_PAR) + list(extra)
+    return names[idx % len(names)]
+
+
+def _run(trace, m, policy_name, seed, *, config=FlowSimConfig(), plan=None,
+         routed=False, horizons=()):
+    """Drive one run and record everything that must agree."""
+    policy = policy_by_name(policy_name)
+    if routed:
+        gen_goldens.route_through_rates(policy)
+    faults = None
+    if plan is not None and policy_name not in NO_FAULTS:
+        span = max(j.release for j in trace.jobs) + 50.0
+        faults = named_fault_plans(m, span, seed=3)[plan]
+    stepper = FlowStepper(m, policy, seed=seed, config=config, faults=faults)
+    stepper.add_jobs(list(trace.jobs))
+    for h in horizons:
+        stepper.advance_to(h)
+    stepper.drain()
+    result = stepper.result()
+    record = {
+        "flow_times": result.flow_times.tolist(),
+        "preemptions": int(result.preemptions),
+        "migrations": int(result.migrations),
+        "makespan": float(result.makespan),
+        "events": int(result.extra["events"]),
+        "switches": int(result.extra["switches"]),
+        "utilization": float(result.extra["utilization"]),
+        "faults": result.extra.get("faults"),
+    }
+    rng = getattr(policy, "_rng", None)
+    if rng is not None:
+        record["rng_digest"] = gen_goldens._rng_digest(rng)
+    return record
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     inst=random_instance(),
-    policy_idx=st.integers(0, max(len(HOOK_POLICIES_SEQ), len(HOOK_POLICIES_PAR)) - 1),
+    policy_idx=st.integers(0, 20),
     seed=st.integers(0, 20),
+    plan=st.sampled_from(PLANS),
+    horizons=st.lists(st.floats(0.0, 80.0, allow_nan=False), max_size=4),
 )
-def test_soa_path_equals_object_path(inst, policy_idx, seed):
+def test_soa_path_equals_object_path(inst, policy_idx, seed, plan, horizons):
+    """Arbitrary horizon stops split segments the same way on both
+    surfaces, so they must agree under them too."""
     trace, m, mode = inst
-    names = (
-        HOOK_POLICIES_SEQ
-        if mode is ParallelismMode.SEQUENTIAL
-        else HOOK_POLICIES_PAR
-    )
-    policy = names[policy_idx % len(names)]
-    soa = gen_goldens.run_flow_case(trace, m, policy, seed=seed)
-    obj = gen_goldens.run_flow_case(trace, m, policy, seed=seed, config=OBJECT_PATH)
+    policy = _pick(mode, policy_idx)
+    horizons = sorted(horizons)
+    soa = _run(trace, m, policy, seed, plan=plan, horizons=horizons)
+    obj = _run(trace, m, policy, seed, plan=plan, horizons=horizons, routed=True)
     assert soa == obj
 
 
 @settings(max_examples=25, deadline=None)
-@given(inst=random_instance(), k=st.sampled_from([1, 7, 1000]))
-def test_soa_path_equals_object_path_under_check_k(inst, k):
+@given(
+    inst=random_instance(),
+    policy_idx=st.integers(0, 20),
+    k=st.sampled_from([1, 7, 1000]),
+    plan=st.sampled_from(PLANS),
+)
+def test_soa_path_equals_object_path_under_check_k(inst, policy_idx, k, plan):
     """Amortized-check settings must not reintroduce path divergence."""
     trace, m, mode = inst
-    policy = "srpt"
-    soa = gen_goldens.run_flow_case(
-        trace, m, policy, seed=5, config=FlowSimConfig(check_every_k=k)
-    )
-    obj = gen_goldens.run_flow_case(
-        trace,
-        m,
-        policy,
-        seed=5,
-        config=FlowSimConfig(check_every_k=k, use_rates_array=False),
-    )
+    policy = _pick(mode, policy_idx)
+    config = FlowSimConfig(check_every_k=k)
+    soa = _run(trace, m, policy, 5, config=config, plan=plan)
+    obj = _run(trace, m, policy, 5, config=config, plan=plan, routed=True)
     assert soa == obj
 
 
-def _perf_of(result) -> dict:
-    return dict(result.extra.get("perf", {}))
-
-
-def test_vectorized_hook_actually_engages():
-    """A hook policy must run (mostly) without materializing views."""
-    from repro.workloads.traces import generate_trace
-
-    trace = generate_trace(150, "finance", 0.7, 4, seed=11)
-    soa = simulate(trace, 4, policy_by_name("srpt"), seed=11)
-    obj = simulate(
-        trace, 4, policy_by_name("srpt"), seed=11, config=OBJECT_PATH
+@settings(max_examples=60, deadline=None)
+@given(
+    inst=random_instance(),
+    policy_idx=st.integers(0, 20),
+    stops=st.lists(st.integers(0, 13), max_size=6),
+    k=st.sampled_from([1, 32]),
+    plan=st.sampled_from(PLANS),
+    seed=st.integers(0, 10),
+)
+def test_advance_to_equals_drain(inst, policy_idx, stops, k, plan, seed):
+    """Parking the clock at event times (here: random releases) splits
+    no segment, so the trajectory is bit-for-bit the drained one — for
+    every policy surface (hooks, patches, timers, ``rates(view)``)."""
+    trace, m, mode = inst
+    policy = _pick(mode, policy_idx, extra=VIEW_POLICIES)
+    config = FlowSimConfig(check_every_k=k)
+    releases = [j.release for j in trace.jobs]
+    horizons = sorted(releases[i % len(releases)] for i in stops)
+    drained = _run(trace, m, policy, seed, config=config, plan=plan)
+    parked = _run(
+        trace, m, policy, seed, config=config, plan=plan, horizons=horizons
     )
-    perf_soa, perf_obj = _perf_of(soa), _perf_of(obj)
-    assert perf_soa.get("view_reuses", 0) > 0
-    assert perf_obj.get("view_reuses", 0) == 0  # object path always builds
-    assert perf_obj.get("view_builds", 0) > 0
-    # and the answers still agree exactly
-    assert soa.flow_times.tolist() == obj.flow_times.tolist()
-    assert soa.extra["events"] == obj.extra["events"]
+    assert parked == drained
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    inst=random_instance(),
+    horizon=st.floats(0.5, 60.0, allow_nan=False),
+    seed=st.integers(0, 10),
+)
+def test_advance_to_parks_at_the_horizon(inst, horizon, seed):
+    """A horizon stop parks the clock there with nothing past it done."""
+    trace, m, mode = inst
+    policy = "drep" if mode is ParallelismMode.SEQUENTIAL else "drep-par"
+    stepper = FlowStepper(m, policy_by_name(policy), seed=seed)
+    stepper.add_jobs(list(trace.jobs))
+    stepper.advance_to(horizon)
+    assert stepper.now == pytest.approx(horizon, rel=1e-12, abs=1e-12)
+    for _, finish in stepper.completion_log:
+        assert finish <= horizon * (1 + 1e-12)
+    admitted = stepper.n_jobs - stepper.n_pending
+    assert admitted >= sum(1 for j in trace.jobs if j.release < horizon)
 
 
 def test_timer_policies_fall_back_cleanly():
-    """MLF/random-np have no hook: both configs take the object path and
-    must agree trivially (guards the config plumbing, not the math)."""
-    from repro.workloads.traces import generate_trace
-
+    """MLF/SETF/random-np have no hook: routing changes nothing for them
+    (guards the helper's plumbing, not the math)."""
     trace = generate_trace(80, "finance", 0.6, 4, seed=9)
-    for policy in ("mlf", "setf", "random-np"):
+    for policy in VIEW_POLICIES:
         on = gen_goldens.run_flow_case(trace, 4, policy, seed=9)
-        off = gen_goldens.run_flow_case(trace, 4, policy, seed=9, config=OBJECT_PATH)
+        off = gen_goldens.run_flow_case(trace, 4, policy, seed=9, routed=True)
         assert on == off, policy
 
 

@@ -60,11 +60,25 @@ class TestFlowsimWiring:
             stepper.add_job(spec)
         horizon = 0.0
         while stepper.n_completed < len(trace.jobs):
-            stepper.step(horizon=horizon)
             horizon += 0.25
+            stepper.advance_to(horizon)
         perf = stepper.perf
         assert perf.rate_hits > 0
         assert perf.rate_misses > 0
+
+    @pytest.mark.parametrize("policy", ["srpt", "drep", "mlf"])
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_every_event_runs_in_the_loop(self, policy, faulty):
+        # one event loop serves every configuration: the events it
+        # folded are all the events there were
+        from repro.faults import named_fault_plans
+        from repro.flowsim.policies import policy_by_name
+
+        trace = generate_trace(60, "finance", 0.7, 4, seed=6)
+        faults = named_fault_plans(4, 200.0, seed=6)["rolling"] if faulty else None
+        result = simulate(trace, 4, policy_by_name(policy), seed=6, faults=faults)
+        perf = result.extra["perf"]
+        assert perf["batch_events_folded"] == result.extra["events"]
 
     def test_unstable_policy_never_hits(self):
         trace = generate_trace(50, "finance", 0.6, 2, seed=3)
