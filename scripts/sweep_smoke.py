@@ -5,8 +5,8 @@ Runs the same small figure-style grid three ways — serial (`workers=1`),
 through a 2-worker process pool, and through a 4-worker pool with a
 pathological chunk size — and requires the row lists to be **equal**,
 element for element.  Then does the same for the resilience experiment
-(fault plans serialized into pool workers) and for the `drep-sim fig1
---workers` CLI path (stdout compared byte-for-byte).
+(fault plans serialized into pool workers) and for the `drep-sim
+fig1/fig2/fig3 --workers` CLI paths (stdout compared byte-for-byte).
 
 This is the grid runner's determinism contract under test in the exact
 form users rely on: `workers=N` must be indistinguishable from
@@ -97,20 +97,22 @@ def main() -> None:
     print(f"sweep-smoke: resilience ok — {len(base)} rows identical across workers 1/2")
 
     # -- CLI surface: the table users see must match too -------------------
-    cmd = [
-        sys.executable, "-m", "repro.cli", "fig1",
-        "--n-jobs", "120", "--m-values", "2", "4", "--seed", "7",
-    ]
     env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
-    out1 = subprocess.run(
-        cmd, capture_output=True, text=True, env=env, check=True
-    ).stdout
-    out2 = subprocess.run(
-        cmd + ["--workers", "2"], capture_output=True, text=True, env=env, check=True
-    ).stdout
-    if out1 != out2:
-        fail("drep-sim fig1 output differs with --workers 2")
-    print("sweep-smoke: CLI ok — fig1 stdout byte-identical with --workers 2")
+    for fig in ("fig1", "fig2"):
+        cmd = [
+            sys.executable, "-m", "repro.cli", fig,
+            "--n-jobs", "120", "--m-values", "2", "4", "--seed", "7",
+        ]
+        out1 = subprocess.run(
+            cmd, capture_output=True, text=True, env=env, check=True
+        ).stdout
+        out2 = subprocess.run(
+            cmd + ["--workers", "2"], capture_output=True, text=True, env=env,
+            check=True,
+        ).stdout
+        if out1 != out2:
+            fail(f"drep-sim {fig} output differs with --workers 2")
+        print(f"sweep-smoke: CLI ok — {fig} stdout byte-identical with --workers 2")
 
     cmd3 = [
         sys.executable, "-m", "repro.cli", "fig3",

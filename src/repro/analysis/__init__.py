@@ -15,7 +15,6 @@ from repro.analysis.baselines import (
     save_baseline,
 )
 from repro.analysis.charts import figure_svg_from_rows, line_chart_svg, save_figure_svg
-from repro.analysis.parallel import FlowCell, parallel_flow_sweep, run_cells
 from repro.analysis.replication import Replication, replicate, significantly_less
 from repro.analysis.report import (
     ReportConfig,
@@ -52,9 +51,6 @@ __all__ = [
     "figure_svg_from_rows",
     "line_chart_svg",
     "save_figure_svg",
-    "FlowCell",
-    "parallel_flow_sweep",
-    "run_cells",
     "Replication",
     "replicate",
     "significantly_less",

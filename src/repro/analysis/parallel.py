@@ -1,79 +1,54 @@
-"""Process-parallel experiment execution.
+"""Per-process trace memo for the experiment grid.
 
-Parameter sweeps are embarrassingly parallel — every (policy, m, load,
-seed) cell is an independent simulation — and the simulators are pure
-Python, so real speedup needs processes, not threads (the GIL).  This
-module fans sweep cells out over a ``ProcessPoolExecutor`` while keeping
-the library's determinism guarantees: results are returned in submission
-order regardless of completion order, and each cell's seed is explicit.
-
-Cells are described *declaratively* (:class:`FlowCell`) rather than as
-closures so they pickle cheaply; the worker process rebuilds the trace
-from its generation parameters instead of shipping 100k-job arrays
-through the pipe, and memoizes it per process (``_TRACE_MEMO``) so the
-many cells of a sweep that differ only in policy generate it once.
+A figure grid (:mod:`repro.analysis.pool`) runs many cells that differ
+only in policy or scheduler, so every process would otherwise rebuild
+the identical trace once per cell.  Trace construction is a
+deterministic pure function of its parameters and simulators never
+mutate specs, so the memo below shares one trace per parameter tuple.
+The traces themselves come from the harness's single builders,
+:func:`repro.analysis.experiments.flow_trace` and
+:func:`repro.analysis.experiments.ws_trace`, so memoized and serial runs
+see the same input.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-
-from repro.core.job import ParallelismMode
-
-__all__ = [
-    "FlowCell",
-    "memoized_trace",
-    "memoized_ws_trace",
-    "run_cells",
-    "parallel_flow_sweep",
-]
+__all__ = ["memoized_trace", "memoized_ws_trace"]
 
 
-#: Per-worker-process memo of generated traces.  A sweep runs many cells
-#: that differ only in policy, so every worker process would otherwise
-#: regenerate the identical trace once per policy; generation is a
-#: deterministic pure function of the key, so sharing is safe (simulators
-#: never mutate specs).  Bounded FIFO so a long-lived pool cannot grow
-#: without limit.
+#: Per-process memo of built traces, bounded FIFO so a long-lived pool
+#: cannot grow without limit.
 _TRACE_MEMO: dict[tuple, object] = {}
 _TRACE_MEMO_MAX = 64
 
 
-def _memoized_trace(
+def _remember(key: tuple, trace):
+    if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
+        _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
+    _TRACE_MEMO[key] = trace
+    return trace
+
+
+def memoized_trace(
     distribution: str, load: float, m: int, n_jobs: int, mode: str, seed: int
 ):
+    """:func:`~repro.analysis.experiments.flow_trace`, memoized per process."""
     key = (distribution, load, m, n_jobs, mode, seed)
     trace = _TRACE_MEMO.get(key)
     if trace is None:
         # a grid run may have shipped this trace's columns via shared
         # memory (repro.analysis.shm); reconstructing from the packed
         # floats is exact, so the rows stay byte-identical to a local
-        # regeneration — which remains the fallback
+        # rebuild — which remains the fallback
         from repro.analysis.shm import shared_trace
 
         trace = shared_trace(key)
         if trace is None:
-            from repro.workloads.traces import generate_trace
+            from repro.analysis.experiments import flow_trace
 
-            trace = generate_trace(
-                n_jobs=n_jobs,
-                distribution=distribution,
-                load=load,
-                m=m,
-                mode=ParallelismMode(mode),
-                seed=seed,
-            )
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-        _TRACE_MEMO[key] = trace
+            trace = flow_trace(distribution, load, m, n_jobs, mode, seed)
+        _remember(key, trace)
     return trace
-
-
-#: public name — the grid runner (:mod:`repro.analysis.pool`) reuses the
-#: same per-process memo so mixed FlowCell/grid workloads share traces
-memoized_trace = _memoized_trace
 
 
 def memoized_ws_trace(
@@ -85,132 +60,20 @@ def memoized_ws_trace(
     parallelism: int,
     seed: int,
 ):
-    """The fig-3 DAG trace build, memoized per worker process.
+    """:func:`~repro.analysis.experiments.ws_trace`, memoized per process.
 
-    Replicates :func:`repro.analysis.experiments.run_ws_point`'s trace
-    construction exactly — fully-parallel unit-mean trace (work *not*
-    scaled with m), scaled to ``mean_work_units`` integer steps, DAGs
-    attached at the given ``parallelism`` — so grid rows match the serial
-    sweep byte-for-byte.  A fig-3 cell grid runs every scheduler on the
-    same trace; the memo builds it once per process instead of once per
-    (scheduler × load) cell.
+    A fig-3 grid runs every scheduler on the same trace; the memo builds
+    it once per process instead of once per (scheduler × load) cell.
     """
     key = ("ws", distribution, load, m, n_jobs, mean_work_units, parallelism, seed)
     trace = _TRACE_MEMO.get(key)
     if trace is None:
-        from repro.analysis.experiments import scale_trace
-        from repro.workloads.traces import attach_dags, generate_trace
+        from repro.analysis.experiments import ws_trace
 
-        base = generate_trace(
-            n_jobs=n_jobs,
-            distribution=distribution,
-            load=load,
-            m=m,
-            mode=ParallelismMode.FULLY_PARALLEL,
-            seed=seed,
-            scale_work_with_m=False,
+        trace = _remember(
+            key,
+            ws_trace(
+                distribution, load, m, n_jobs, mean_work_units, parallelism, seed
+            ),
         )
-        trace = attach_dags(
-            scale_trace(base, float(mean_work_units)),
-            parallelism=parallelism,
-            seed=seed,
-        )
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-        _TRACE_MEMO[key] = trace
     return trace
-
-
-@dataclass(frozen=True)
-class FlowCell:
-    """One flow-level simulation cell, picklable and self-contained."""
-
-    policy: str
-    distribution: str
-    load: float
-    m: int
-    n_jobs: int
-    mode: str = "sequential"
-    seed: int = 0
-    speed: float = 1.0
-    policy_kwargs: tuple = field(default=())  # (key, value) pairs
-
-    def run(self) -> dict:
-        """Execute in the current process; returns a flat result row."""
-        from repro.flowsim.engine import FlowSimConfig, simulate
-        from repro.flowsim.policies import policy_by_name
-
-        trace = _memoized_trace(
-            self.distribution, self.load, self.m, self.n_jobs, self.mode, self.seed
-        )
-        policy = policy_by_name(self.policy, **dict(self.policy_kwargs))
-        result = simulate(
-            trace,
-            self.m,
-            policy,
-            seed=self.seed,
-            config=FlowSimConfig(speed=self.speed),
-        )
-        return {
-            "policy": result.scheduler,
-            "distribution": self.distribution,
-            "load": self.load,
-            "m": self.m,
-            "mode": self.mode,
-            "seed": self.seed,
-            "speed": self.speed,
-            "mean_flow": result.mean_flow,
-            "p99_flow": result.percentile(99),
-            "preemptions": result.preemptions,
-            "pid": os.getpid(),
-        }
-
-
-def _run_cell(cell: FlowCell) -> dict:
-    return cell.run()
-
-
-def run_cells(cells: list[FlowCell], workers: int | None = None) -> list[dict]:
-    """Run cells, fanning out over processes when it pays.
-
-    ``workers=None`` picks ``min(len(cells), cpu_count)``; ``workers=1``
-    or a single cell runs inline (no pool overhead, easier debugging).
-    Results come back in submission order.
-    """
-    if not cells:
-        return []
-    if workers is None:
-        workers = min(len(cells), os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or len(cells) == 1:
-        return [cell.run() for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, cells))
-
-
-def parallel_flow_sweep(
-    policies: list[str],
-    distribution: str,
-    load: float,
-    m_values: list[int],
-    n_jobs: int,
-    mode: str = "sequential",
-    seed: int = 0,
-    workers: int | None = None,
-) -> list[dict]:
-    """Figure-1/2 style sweep, one process per cell."""
-    cells = [
-        FlowCell(
-            policy=policy,
-            distribution=distribution,
-            load=load,
-            m=m,
-            n_jobs=n_jobs,
-            mode=mode,
-            seed=seed,
-        )
-        for m in m_values
-        for policy in policies
-    ]
-    return run_cells(cells, workers=workers)

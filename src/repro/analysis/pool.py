@@ -24,11 +24,16 @@ keeping the library's repro contract *byte-for-byte*:
   ``pool_workers`` / ``pool_shm_traces`` / ``pool_shm_bytes`` (reported
   by the grid-sweep bench cases).
 
-``FlowSweepCell`` rows carry the same fields as the serial
-:func:`repro.analysis.experiments.run_flow_sweep` rows plus ``seed`` and
-``events`` — and deliberately nothing process-dependent (no pids, no
-wall times), which is what makes serial/parallel output comparable with
-a plain ``==``.
+This is the one grid runner: the CLI figures, the resilience and
+autoscale experiments and the benchmark all run their cells here.  A
+cell builds its trace and its row with the serial harness's builders
+(:func:`~repro.analysis.experiments.flow_trace` /
+:func:`~repro.analysis.experiments.flow_row` and their ``ws_`` twins),
+so a cell row is the serial :func:`~repro.analysis.experiments.run_flow_sweep`
+or :func:`~repro.analysis.experiments.run_ws_sweep` row plus ``seed``
+and ``events`` — and deliberately nothing process-dependent (no pids,
+no wall times), which is what makes serial/parallel output comparable
+with a plain ``==``.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ __all__ = [
     "WsSweepCell",
     "default_chunk_size",
     "flow_sweep_cells",
-    "replicate_flow",
     "resolve_workers",
     "run_flow_grid",
     "run_grid",
@@ -97,6 +101,11 @@ def resolve_workers(workers: "int | str | None") -> int | None:
 def default_chunk_size(n_tasks: int, workers: int) -> int:
     """~4 chunks per worker: enough slack for stealing, little overhead."""
     return max(1, math.ceil(n_tasks / (4 * max(1, workers))))
+
+
+def _run_cell(cell) -> dict:
+    # looks ``run`` up on the instance, so a caller may wrap it per cell
+    return cell.run()
 
 
 def _run_chunk(fn: Callable, chunk: list) -> list:
@@ -179,7 +188,7 @@ def run_grid(
 class FlowSweepCell:
     """One (trace, policy) flow-simulation cell of a figure grid.
 
-    Frozen and plain-data, so it pickles cheaply; the worker regenerates
+    Frozen and plain-data, so it pickles cheaply; the worker rebuilds
     the trace from the generation parameters (memoized per process).
     """
 
@@ -191,47 +200,30 @@ class FlowSweepCell:
     n_jobs: int
     seed: int
     figure: str = ""
-    speed: float = 1.0
-    policy_kwargs: tuple = ()  # (key, value) pairs
 
     def run(self) -> dict:
         """Execute in the current process; returns a flat result row."""
+        from repro.analysis.experiments import flow_row
         from repro.analysis.parallel import memoized_trace
-        from repro.flowsim.engine import FlowSimConfig, simulate
+        from repro.flowsim.engine import simulate
         from repro.flowsim.policies import policy_by_name
 
         trace = memoized_trace(
             self.distribution, self.load, self.m, self.n_jobs, self.mode, self.seed
         )
         result = simulate(
-            trace,
-            self.m,
-            policy_by_name(self.policy, **dict(self.policy_kwargs)),
-            seed=self.seed,
-            config=FlowSimConfig(speed=self.speed),
+            trace, self.m, policy_by_name(self.policy), seed=self.seed
         )
-        # the serial sweep's row fields, plus the cell seed and event
-        # count; nothing process-dependent may ever be added here — the
+        # the serial sweep's row plus the cell seed and event count;
+        # nothing process-dependent may ever be added here — the
         # workers=N ≡ workers=1 guarantee is a byte-level comparison
-        return {
-            "figure": self.figure,
-            "distribution": self.distribution,
-            "load": self.load,
-            "m": self.m,
-            "mode": self.mode,
-            "scheduler": result.scheduler,
-            "mean_flow": result.mean_flow,
-            "p99_flow": result.percentile(99),
-            "preemptions": result.preemptions,
-            "switches": result.extra.get("switches", 0),
-            "utilization": result.extra.get("utilization", 0.0),
-            "seed": self.seed,
-            "events": int(result.extra.get("events", 0)),
-        }
-
-
-def _run_flow_cell(cell: FlowSweepCell) -> dict:
-    return cell.run()
+        row = flow_row(
+            result, result.scheduler, self.distribution, self.load, self.m,
+            self.mode, self.figure,
+        )
+        row["seed"] = self.seed
+        row["events"] = int(result.extra.get("events", 0))
+        return row
 
 
 def flow_sweep_cells(
@@ -311,14 +303,8 @@ def run_flow_grid(
 
         keyed: dict[tuple, object] = {}
         for cell in cells:
-            key = (
-                cell.distribution,
-                cell.load,
-                cell.m,
-                cell.n_jobs,
-                cell.mode,
-                cell.seed,
-            )
+            key = (cell.distribution, cell.load, cell.m, cell.n_jobs,
+                   cell.mode, cell.seed)
             if key not in keyed:
                 keyed[key] = memoized_trace(*key)
         try:
@@ -333,7 +319,7 @@ def run_flow_grid(
                 counters.pool_shm_bytes += shipment.nbytes
     try:
         return run_grid(
-            _run_flow_cell,
+            _run_cell,
             cells,
             workers=workers,
             chunk_size=chunk_size,
@@ -369,45 +355,30 @@ class WsSweepCell:
 
     def run(self) -> dict:
         """Execute in the current process; returns a flat result row."""
-        from repro.analysis.experiments import ws_scheduler_factories
+        from repro.analysis.experiments import ws_row, ws_scheduler_factories
         from repro.analysis.parallel import memoized_ws_trace
         from repro.wsim.runtime import simulate_ws
 
-        parallelism = self.parallelism or 2 * self.m
         trace = memoized_ws_trace(
             self.distribution,
             self.load,
             self.m,
             self.n_jobs,
             self.mean_work_units,
-            parallelism,
+            self.parallelism or 2 * self.m,
             self.seed,
         )
         factory = ws_scheduler_factories()[self.scheduler]
         result = simulate_ws(trace, self.m, factory(), seed=self.seed)
-        # run_ws_point's row fields plus the cell seed and the step count;
+        # run_ws_point's row plus the cell seed and the step count;
         # nothing process-dependent may ever be added here (see
         # FlowSweepCell.run)
-        return {
-            "figure": self.figure,
-            "distribution": self.distribution,
-            "load": self.load,
-            "m": self.m,
-            "scheduler": self.scheduler,
-            "mean_flow": result.mean_flow,
-            "p99_flow": result.percentile(99),
-            "preemptions": result.preemptions,
-            "switches": result.extra.get("switches", 0),
-            "steal_attempts": result.steal_attempts,
-            "muggings": result.muggings,
-            "utilization": result.extra.get("utilization", 0.0),
-            "seed": self.seed,
-            "events": int(result.makespan),
-        }
-
-
-def _run_ws_cell(cell: WsSweepCell) -> dict:
-    return cell.run()
+        row = ws_row(
+            result, self.scheduler, self.distribution, self.load, self.m, self.figure
+        )
+        row["seed"] = self.seed
+        row["events"] = int(result.makespan)
+        return row
 
 
 def ws_sweep_cells(
@@ -462,50 +433,9 @@ def run_ws_grid(
 ) -> list[dict]:
     """Run a work-stealing-cell grid through :func:`run_grid`."""
     return run_grid(
-        _run_ws_cell,
+        _run_cell,
         cells,
         workers=workers,
         chunk_size=chunk_size,
         counters=counters,
-    )
-
-
-def replicate_flow(
-    policy: str,
-    distribution: str,
-    load: float,
-    m: int,
-    n_jobs: int,
-    mode: str = "sequential",
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    workers: int | None = 1,
-    metric: str = "mean_flow",
-):
-    """Multi-seed replication of one cell, sharded over the pool.
-
-    The pool-friendly sibling of :func:`repro.analysis.replication.replicate`:
-    same :class:`~repro.analysis.replication.Replication` summary, but the
-    per-seed runs are grid cells, so they parallelize and stay
-    byte-deterministic for any worker count.
-    """
-    from repro.analysis.replication import Replication
-
-    if not seeds:
-        raise ValueError("need at least one seed")
-    cells = [
-        FlowSweepCell(
-            distribution=distribution,
-            load=float(load),
-            m=int(m),
-            mode=mode,
-            policy=policy,
-            n_jobs=int(n_jobs),
-            seed=int(s),
-        )
-        for s in seeds
-    ]
-    rows = run_flow_grid(cells, workers=workers)
-    return Replication(
-        label=rows[0]["scheduler"],
-        values=tuple(float(r[metric]) for r in rows),
     )

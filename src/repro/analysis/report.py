@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.experiments import (
+    flow_trace,
     run_flow_sweep,
     run_ws_sweep,
 )
@@ -21,7 +22,6 @@ from repro.core.job import ParallelismMode
 from repro.flowsim.engine import simulate
 from repro.flowsim.policies import DrepSequential
 from repro.theory.preemptions import check_theorem_1_2
-from repro.workloads.traces import generate_trace
 
 __all__ = ["ReportConfig", "build_report"]
 
@@ -118,9 +118,7 @@ def build_report(config: ReportConfig = ReportConfig()) -> str:
     sec = _Section("Theorem 1.2 (preemption budgets)")
     lines = ["```", "m  preempt/job  switches  bound_2mn"]
     for m in config.m_values:
-        trace = generate_trace(
-            config.flow_jobs, "finance", 0.6, m, seed=config.seed + m
-        )
+        trace = flow_trace("finance", 0.6, m, config.flow_jobs, seed=config.seed + m)
         result = simulate(trace, m, DrepSequential(), seed=config.seed + m)
         budget = check_theorem_1_2(result, config.flow_jobs)
         lines.append(

@@ -32,7 +32,6 @@ mappings die with the process.  ``Trace.meta`` and DAG attachments are
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +230,3 @@ def shared_trace(key: tuple):
 def shared_stats() -> dict:
     """Per-process lookup stats (``{"hits": int}``); for tests/benches."""
     return dict(_STATS)
-
-
-# silence the unused-import linters: struct documents the layout intent
-_ = struct

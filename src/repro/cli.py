@@ -24,10 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.experiments import (
-    flow_policy_factories,
-    run_flow_sweep,
-)
 from repro.analysis.tables import series_table
 from repro.core.job import ParallelismMode
 from repro.flowsim.engine import simulate
@@ -41,33 +37,20 @@ _DEFAULT_M_SWEEP = [1, 2, 4, 8, 16, 32, 64]
 
 
 def _fig_flow(args: argparse.Namespace, mode: ParallelismMode) -> int:
-    workers = getattr(args, "workers", 1)
-    if workers == 0:
-        workers = None  # run_grid: all cores
-    if workers is None or workers == "auto" or workers > 1:
-        # shard the (m × policy) grid over a process pool; rows are
-        # byte-identical to the serial sweep (see repro.analysis.pool)
-        from repro.analysis.pool import flow_sweep_cells, run_flow_grid
+    # the (m × policy) grid; workers=1 runs inline, and rows are
+    # byte-identical for every worker count (repro.analysis.pool)
+    from repro.analysis.pool import flow_sweep_cells, run_flow_grid
 
-        cells = flow_sweep_cells(
-            distribution=args.distribution,
-            load=args.load,
-            mode=mode,
-            m_values=args.m_values,
-            n_jobs=args.n_jobs,
-            seed=args.seed,
-        )
-        rows = run_flow_grid(cells, workers=workers)
-    else:
-        rows = run_flow_sweep(
-            distribution=args.distribution,
-            load=args.load,
-            mode=mode,
-            m_values=args.m_values,
-            n_jobs=args.n_jobs,
-            seed=args.seed,
-            policies=flow_policy_factories(mode),
-        )
+    cells = flow_sweep_cells(
+        distribution=args.distribution,
+        load=args.load,
+        mode=mode,
+        m_values=args.m_values,
+        n_jobs=args.n_jobs,
+        seed=args.seed,
+    )
+    # --workers 0 means all cores, which run_grid spells None
+    rows = run_flow_grid(cells, workers=args.workers or None)
     print(
         f"# {args.distribution} workload, load={args.load:g}, "
         f"{mode.value} jobs, n={args.n_jobs} (mean flow time)"

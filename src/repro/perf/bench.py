@@ -65,23 +65,12 @@ def _flowsim_case(n_jobs: int, distribution: str, policy_key: str, seed: int):
 
 def _flowsim_profiled_case(seed: int):
     def build(scale: float) -> Callable[[], ScheduleResult]:
-        from repro.analysis.experiments import scale_trace
-        from repro.core.job import ParallelismMode
+        from repro.analysis.experiments import ws_trace
         from repro.flowsim.engine import FlowSimConfig, simulate
         from repro.flowsim.policies import SRPT
-        from repro.workloads.traces import attach_dags, generate_trace
 
         n = max(10, int(300 * scale))
-        base = generate_trace(
-            n,
-            "finance",
-            0.6,
-            4,
-            mode=ParallelismMode.FULLY_PARALLEL,
-            seed=seed,
-            scale_work_with_m=False,
-        )
-        trace = attach_dags(scale_trace(base, 200.0), parallelism=8, seed=seed)
+        trace = ws_trace("finance", 0.6, 4, n, 200, 8, seed)
         config = FlowSimConfig(use_profiles=True)
         return lambda: simulate(trace, 4, SRPT(), seed=seed, config=config)
 
@@ -130,23 +119,12 @@ def drift_factor(old_entry: dict, new_entry: dict) -> float | None:
 
 def _wsim_case(seed: int):
     def build(scale: float) -> Callable[[], ScheduleResult]:
-        from repro.analysis.experiments import scale_trace
-        from repro.core.job import ParallelismMode
-        from repro.workloads.traces import attach_dags, generate_trace
+        from repro.analysis.experiments import ws_trace
         from repro.wsim.runtime import simulate_ws
         from repro.wsim.schedulers import DrepWS
 
         n = max(10, int(150 * scale))
-        base = generate_trace(
-            n,
-            "finance",
-            0.6,
-            8,
-            mode=ParallelismMode.FULLY_PARALLEL,
-            seed=seed,
-            scale_work_with_m=False,
-        )
-        trace = attach_dags(scale_trace(base, 300.0), parallelism=16, seed=seed)
+        trace = ws_trace("finance", 0.6, 8, n, 300, 16, seed)
         return lambda: simulate_ws(trace, 8, DrepWS(), seed=seed)
 
     return build
@@ -163,23 +141,12 @@ def _wsim_hetero_case(seed: int):
     def build(scale: float) -> Callable[[], ScheduleResult]:
         import numpy as np
 
-        from repro.analysis.experiments import scale_trace
-        from repro.core.job import ParallelismMode
-        from repro.workloads.traces import attach_dags, generate_trace
+        from repro.analysis.experiments import ws_trace
         from repro.wsim.runtime import simulate_ws
         from repro.wsim.schedulers import DrepWS
 
         n = max(10, int(150 * scale))
-        base = generate_trace(
-            n,
-            "finance",
-            0.6,
-            8,
-            mode=ParallelismMode.FULLY_PARALLEL,
-            seed=seed,
-            scale_work_with_m=False,
-        )
-        trace = attach_dags(scale_trace(base, 300.0), parallelism=16, seed=seed)
+        trace = ws_trace("finance", 0.6, 8, n, 300, 16, seed)
         speeds = np.array([2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5])
         return lambda: simulate_ws(trace, 8, DrepWS(), seed=seed, speeds=speeds)
 

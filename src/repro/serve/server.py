@@ -49,7 +49,7 @@ from repro.serve.online import OnlineScheduler
 from repro.serve.snapshot import snapshot_scheduler_file
 from repro.serve.tenancy import MultiTenantAdmission, TenancyConfig
 
-__all__ = ["ServeConfig", "SchedulerServer"]
+__all__ = ["ServeConfig", "SchedulerServer", "validate_request"]
 
 
 @dataclass(frozen=True)
@@ -431,64 +431,26 @@ class SchedulerServer:
         return out
 
     def _op_submit(self, request: dict) -> dict:
-        work = request.get("work")
-        if (
-            not isinstance(work, (int, float))
-            or isinstance(work, bool)
-            or not work > 0
-        ):
-            raise ValueError("submit requires work > 0")
-        span = request.get("span")
-        if span is not None:
-            if not isinstance(span, (int, float)) or isinstance(span, bool):
-                raise ValueError("span must be numeric")
-            span = float(span)
-        mode = request.get("mode", "sequential")
-        ParallelismMode(mode)  # validate before anything is journaled
-        weight = request.get("weight", 1.0)
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-            raise ValueError("weight must be numeric")
-        release = request.get("release")
-        if release is not None and (
-            not isinstance(release, (int, float)) or isinstance(release, bool)
-        ):
-            raise ValueError("release must be numeric")
-        tenant = request.get("tenant")
-        if tenant is not None and (
-            not isinstance(tenant, str) or not tenant
-        ):
-            raise ValueError("tenant must be a non-empty string")
+        job = validate_request(request)
+        release = job["release"]
         if self.config.clock == "wall":
             self.scheduler.advance_to(self._wall_now())
             if release is None:
                 release = self.scheduler.now
         elif release is not None:
             # trace clock: the submission drives time to its release stamp
-            self.scheduler.advance_to(float(release))
+            self.scheduler.advance_to(release)
         else:
             release = self.scheduler.now
-        release = float(release)
+        job["release"] = float(release)
+        tenant = job.pop("tenant")
         # write-ahead: the *resolved* request hits the journal before the
         # engine, so a crash between the two replays it on recovery
-        entry = {
-            "op": "submit",
-            "work": float(work),
-            "span": span,
-            "mode": mode,
-            "weight": float(weight),
-            "release": release,
-        }
+        entry = {"op": "submit", **job}
         if tenant is not None:
             entry["tenant"] = tenant
         self._journal_append(entry)
-        outcome = self.scheduler.submit(
-            work=float(work),
-            span=span,
-            mode=mode,
-            weight=float(weight),
-            release=release,
-            tenant=tenant,
-        )
+        outcome = self.scheduler.submit(**job, tenant=tenant)
         self._journal_rotate()
         return {
             "ok": True,
@@ -502,11 +464,9 @@ class SchedulerServer:
     def _op_advance(self, request: dict) -> dict:
         if self.config.clock == "wall":
             raise ValueError("advance is only valid with the trace clock")
-        to = request.get("to")
-        if not isinstance(to, (int, float)) or isinstance(to, bool):
-            raise ValueError("advance requires a numeric 'to'")
-        self._journal_append({"op": "advance", "to": float(to)})
-        self.scheduler.advance_to(float(to))
+        to = validate_request(request)["to"]
+        self._journal_append({"op": "advance", "to": to})
+        self.scheduler.advance_to(to)
         self._journal_rotate()
         return {"ok": True, "now": self.scheduler.now}
 
@@ -606,6 +566,55 @@ class SchedulerServer:
             lambda: asyncio.ensure_future(self.stop())
         )
         return {"ok": True, "bye": True}
+
+
+def _numeric(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def validate_request(request: dict) -> dict:
+    """Check a ``submit`` or ``advance`` request; returns its fields.
+
+    The one validator of :class:`SchedulerServer` and the sharded tier,
+    so both refuse the same requests with the same message before
+    anything is journaled, admitted or advanced.  ``advance`` yields
+    ``{"to": float}``; ``submit`` yields the keyword arguments of
+    :meth:`OnlineScheduler.submit`, numbers as floats.
+    """
+    if request.get("op") == "advance":
+        to = request.get("to")
+        if not _numeric(to):
+            raise ValueError("advance requires a numeric 'to'")
+        return {"to": float(to)}
+    work = request.get("work")
+    if not _numeric(work) or not work > 0:
+        raise ValueError("submit requires work > 0")
+    span = request.get("span")
+    if span is not None:
+        if not _numeric(span):
+            raise ValueError("span must be numeric")
+        span = float(span)
+    mode = request.get("mode", "sequential")
+    ParallelismMode(mode)
+    weight = request.get("weight", 1.0)
+    if not _numeric(weight):
+        raise ValueError("weight must be numeric")
+    release = request.get("release")
+    if release is not None:
+        if not _numeric(release):
+            raise ValueError("release must be numeric")
+        release = float(release)
+    tenant = request.get("tenant")
+    if tenant is not None and (not isinstance(tenant, str) or not tenant):
+        raise ValueError("tenant must be a non-empty string")
+    return {
+        "work": float(work),
+        "span": span,
+        "mode": mode,
+        "weight": float(weight),
+        "release": release,
+        "tenant": tenant,
+    }
 
 
 def _jsonable(v) -> bool:

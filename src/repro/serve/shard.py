@@ -66,6 +66,7 @@ from repro.serve.server import (
     ServeConfig,
     encode_response,
     read_line,
+    validate_request,
 )
 from repro.serve.tenancy import DEFAULT_TENANT, MultiTenantAdmission, TenancyConfig
 
@@ -529,18 +530,31 @@ class ShardRouter:
         land on one shard — cache affinity and per-tenant ordering), but
         an explicit ``key`` spreads a tenant over the ring.  Returns the
         shard's submit response extended with ``shard`` and ``tenant``.
+        The job is validated (:func:`repro.serve.server.validate_request`)
+        before admission or the router clock sees it, so a refused
+        request charges no tenant.
         """
-        label = tenant if tenant is not None else DEFAULT_TENANT
-        if release is None:
-            release = self._now
-        release = float(release)
+        job = validate_request(
+            {
+                "op": "submit",
+                "work": work,
+                "span": span,
+                "mode": mode,
+                "weight": weight,
+                "release": release,
+                "tenant": tenant,
+            }
+        )
+        work = job["work"]
+        label = job["tenant"] if job["tenant"] is not None else DEFAULT_TENANT
+        release = job["release"] if job["release"] is not None else self._now
         self._now = max(self._now, release)
         if self.admission is not None:
             self.admission.observe(release, work)
             decision = self.admission.decide_tenant(
                 t=release,
                 tenant=label,
-                work=float(work),
+                work=work,
                 active=self._active_view,
                 backlog_work=self._backlog_view,
             )
@@ -556,15 +570,7 @@ class ShardRouter:
                 }
         shard_name = self.ring.route(key if key is not None else label)
         resp = self.shards[shard_name].call(
-            {
-                "op": "submit",
-                "work": float(work),
-                "span": span,
-                "mode": mode,
-                "weight": float(weight),
-                "release": release,
-                "tenant": label,
-            }
+            {"op": "submit", **job, "release": release, "tenant": label}
         )
         if not resp.get("ok") or not resp.get("accepted"):
             # shards run admission-free, so this is an error, not a shed
@@ -573,7 +579,7 @@ class ShardRouter:
             )
         self._log.append((label, shard_name, int(resp["job_id"])))
         self._active_view += 1
-        self._backlog_view += float(work)
+        self._backlog_view += work
         resp["shard"] = shard_name
         resp["tenant"] = label
         resp["global_id"] = len(self._log) - 1
@@ -948,16 +954,16 @@ class ShardFrontend:
             }
         if op == "submit":
             return router.submit(
-                work=float(request["work"]),
+                work=request.get("work"),
                 span=request.get("span"),
                 mode=request.get("mode", "sequential"),
-                weight=float(request.get("weight", 1.0)),
+                weight=request.get("weight", 1.0),
                 release=request.get("release"),
                 tenant=request.get("tenant"),
                 key=request.get("key"),
             )
         if op == "advance":
-            router.advance_to(float(request["to"]))
+            router.advance_to(validate_request(request)["to"])
             return {"ok": True, "now": router.now}
         if op == "stats":
             return {"ok": True, "stats": router.stats()}

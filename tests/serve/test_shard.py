@@ -15,6 +15,9 @@ Three pillars of :mod:`repro.serve.shard`:
 
 from __future__ import annotations
 
+import asyncio
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +27,10 @@ from repro.flowsim.engine import FlowSimConfig
 from repro.flowsim.policies import policy_by_name
 from repro.serve.loadgen import tenant_labels
 from repro.serve.online import OnlineScheduler
+from repro.serve.server import SchedulerServer, ServeConfig
 from repro.serve.shard import (
     HashRing,
+    ShardFrontend,
     ShardRouter,
     build_local_router,
     shard_seed,
@@ -277,3 +282,59 @@ def test_build_subprocess_router_reaps_partially_started_shards(
     assert len(spawned) == 1
     # wait() returns promptly only because the kill loop reached it
     assert spawned[0].wait(timeout=10) is not None
+
+
+# -- one submit validator for both request paths ----------------------------
+
+
+def _line(request: dict) -> bytes:
+    return json.dumps(request).encode()
+
+
+def test_refused_submit_charges_no_tenant():
+    """A submit the validator refuses never reaches router admission, so
+    the tenant's queue slot is not leaked."""
+    frontend = ShardFrontend(build_local_router(1, tenancy=TenancyConfig()))
+    for work in (1.0, -1.0, 2.0):
+        frontend._dispatch(
+            _line({"op": "submit", "work": work, "tenant": "a", "release": 0.0})
+        )
+    router = frontend.router
+    stats = router.admission.tenant_stats(router.now)["a"]
+    assert (stats["accepted"], stats["active"]) == (2, 2)
+    assert router.n_offered == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"work": -1.0},
+        {"work": True},
+        {"work": 1.0, "weight": "2"},
+        {"work": 1.0, "span": "3"},
+        {"work": 1.0, "release": True},
+        {"work": 1.0, "tenant": ""},
+        {"work": 1.0, "mode": "bogus"},
+    ],
+    ids=["work-negative", "work-bool", "weight-str", "span-str",
+         "release-bool", "tenant-empty", "mode-unknown"],
+)
+def test_frontend_refuses_what_the_server_refuses(fields):
+    request = {"op": "submit", "tenant": "a", **fields}
+    server = SchedulerServer(ServeConfig(m=2, multi_tenant=True))
+    expected = asyncio.run(server._dispatch_line(_line(request)))
+    frontend = ShardFrontend(build_local_router(1, tenancy=TenancyConfig()))
+    got = frontend._dispatch(_line(request))
+    assert expected["ok"] is False
+    assert got == expected
+    assert frontend.router.admission.tenant_stats(0.0) == {}
+
+
+def test_frontend_advance_requires_numeric_to():
+    frontend = ShardFrontend(build_local_router(1))
+    got = frontend._dispatch(_line({"op": "advance", "to": True}))
+    assert got == {
+        "ok": False,
+        "error": "ValueError: advance requires a numeric 'to'",
+    }
+    assert frontend.router.now == 0.0
