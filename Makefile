@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-compare bench-json trajectory-gate sweep-smoke serve-smoke faults-smoke shard-smoke autoscale-smoke stream-smoke scaling-smoke perfbench-selftest figures report examples clean
+.PHONY: install test bench bench-smoke bench-compare bench-json trajectory-gate sweep-smoke serve-smoke serve-state-smoke faults-smoke shard-smoke autoscale-smoke stream-smoke scaling-smoke perfbench-selftest figures report examples clean
 
 # perf-trajectory entry number for `make bench-json` (BENCH_$(PR).json)
 PR ?= 10
@@ -56,6 +56,12 @@ serve-smoke:
 	sleep 2; \
 	PYTHONPATH=src $(PYTHON) -m repro.cli loadgen \
 		--port 8399 --n-jobs 100 --load 0.7 --verify
+
+# serve 10^5 jobs through a journaled scheduler and require snapshot
+# bytes and p99 request wall time at 10^5 served to stay within 1.25x
+# of their values at 10^4 (state bounded by active work, not uptime)
+serve-state-smoke:
+	$(PYTHON) scripts/serve_state_smoke.py
 
 # kill -9 a journaled server mid-load, restart it, and require the
 # recovered flow times to equal an uninterrupted run bit-for-bit; then

@@ -1796,29 +1796,65 @@ class FlowStepper:
 
     # -- checkpointing -----------------------------------------------------
 
-    def state_dict(self) -> dict:
+    def _job_row(self, j: int) -> dict:
+        """One job's spec and remaining work as a JSON-compatible row."""
+        s = self._specs[j]
+        if s.dag is not None:
+            raise FlowSimError("cannot snapshot a run with explicit DAG jobs")
+        return {
+            "job_id": s.job_id,
+            "release": s.release,
+            "work": s.work,
+            "span": s.span,
+            "mode": s.mode.value,
+            "weight": s.weight,
+            "rem": float(self._rem[j]),
+        }
+
+    def state_dict(self, settled: int = 0) -> dict:
         """Engine-level state as JSON-compatible plain data.
 
-        Covers the clock, job table and progress arrays — everything the
-        stepper owns.  Policy state is *not* included (policies are opaque
-        to the engine); :mod:`repro.serve.snapshot` captures it alongside.
-        Jobs carrying explicit DAGs are not snapshottable.
+        Covers the clock, counters and job table — everything the stepper
+        owns.  Policy state is *not* included (policies are opaque to the
+        engine); :mod:`repro.serve.snapshot` captures it alongside.  Jobs
+        carrying explicit DAGs are not snapshottable.
+
+        Jobs are split by lifecycle.  ``done`` holds one row per entry of
+        ``completion_log[settled:]``, in completion order, each with its
+        finish time and final flow; ``live`` holds a row per active,
+        suspended and pending job.  The first ``settled`` completions are
+        left out: a caller that already persisted their rows (the server's
+        completion log) hands them back to :meth:`from_state_dict`.  So
+        the cost is O(live + completions since ``settled``), and with the
+        default ``settled=0`` the dict is self-contained.
         """
         if self._base:
             raise FlowSimError(
                 "cannot snapshot a harvested (streaming) run: the "
                 "completed prefix was folded away"
             )
-        for spec in self._specs:
-            if spec.dag is not None:
-                raise FlowSimError(
-                    "cannot snapshot a run with explicit DAG jobs"
-                )
+        log = self._completions
+        if not 0 <= settled <= len(log):
+            raise ValueError(
+                f"settled={settled} outside the completion log [0, {len(log)}]"
+            )
         na = self._na
         if na:
             # the buffers hold the live remaining-work values; flush them
             # to the master column the snapshot serializes
             self._rem[self._a_ids[:na]] = self._a_rem[:na]
+        done = []
+        for j, t in log[settled:]:
+            row = self._job_row(j)
+            row["finish"] = float(t)
+            row["flow"] = float(self._flow[j])
+            done.append(row)
+        # active and suspended jobs were admitted (id < next_arrival);
+        # everything from next_arrival on is still pending
+        live_ids = sorted({*self._a_ids[:na].tolist(), *self._suspended})
+        live_ids += range(self._next_arrival, self._n)
+        if len(log) + len(live_ids) != self._n:  # pragma: no cover - invariant
+            raise FlowSimError("job table is not completed + live")
         fault_state = {}
         if self.faults is not None:
             fault_state = {
@@ -1844,41 +1880,32 @@ class FlowStepper:
                 "incremental_min_active": self.config.incremental_min_active,
             },
             "t": self._t,
+            "n_jobs": self._n,
             "next_arrival": self._next_arrival,
             "completed": self._completed,
             "busy_time": self._busy_time,
             "events": self._events,
             "act_ids": self._a_ids[:na].tolist(),
-            "rem": [float(x) for x in self._rem[: self._n]],
-            "flow": [
-                None if np.isnan(x) else float(x) for x in self._flow[: self._n]
-            ],
-            "completions": [[int(j), float(t)] for j, t in self._completions],
             "segments": [
                 [a, b, {str(k): v for k, v in alloc.items()}]
                 for a, b, alloc in self._segments
             ],
-            "jobs": [
-                {
-                    "job_id": s.job_id,
-                    "release": s.release,
-                    "work": s.work,
-                    "span": s.span,
-                    "mode": s.mode.value,
-                    "weight": s.weight,
-                }
-                for s in self._specs
-            ],
+            "done": done,
+            "live": [self._job_row(j) for j in live_ids],
         }
 
     @classmethod
-    def from_state_dict(cls, state: dict, policy: Policy) -> "FlowStepper":
+    def from_state_dict(
+        cls, state: dict, policy: Policy, settled_rows=()
+    ) -> "FlowStepper":
         """Rebuild a stepper from :meth:`state_dict` output.
 
-        ``policy`` must already carry its restored internal state (the
-        constructor's ``policy.reset`` call is *skipped* — the caller is
-        handing us a mid-run policy, and resetting it would wipe exactly
-        what a checkpoint is meant to preserve).
+        ``settled_rows`` are the ``done`` rows of the first ``settled``
+        completions that ``state_dict(settled)`` left out, in completion
+        order.  ``policy`` must already carry its restored internal state
+        (the constructor's ``policy.reset`` call is *skipped* — the caller
+        is handing us a mid-run policy, and resetting it would wipe
+        exactly what a checkpoint is meant to preserve).
         """
         # snapshots written before the event loop was unified carry two
         # retired knobs; they selected execution paths, never results
@@ -1891,9 +1918,15 @@ class FlowStepper:
         stepper.policy = policy
         stepper.seed = int(state["seed"])
         stepper.config = cfg
-        stepper._specs = []
-        stepper._profiles = []
-        n = len(state["jobs"])
+        done = [*settled_rows, *state["done"]]
+        n = int(state["n_jobs"])
+        if len(done) != int(state["completed"]) or len(done) + len(
+            state["live"]
+        ) != n:
+            raise FlowSimError(
+                f"state covers {len(done)} completed + {len(state['live'])} "
+                f"live rows, expected {state['completed']} of {n} jobs"
+            )
         cap = max(16, n)
         stepper._release = np.zeros(cap, dtype=float)
         stepper._work = np.zeros(cap, dtype=float)
@@ -1902,8 +1935,8 @@ class FlowStepper:
         stepper._rem = np.zeros(cap, dtype=float)
         stepper._tol = np.zeros(cap, dtype=float)
         stepper._flow = np.full(cap, np.nan, dtype=float)
-        stepper._n = 0
-        for raw in state["jobs"]:
+        specs: list[JobSpec | None] = [None] * n
+        for raw in (*done, *state["live"]):
             spec = JobSpec(
                 job_id=raw["job_id"],
                 release=raw["release"],
@@ -1913,27 +1946,29 @@ class FlowStepper:
                 weight=raw.get("weight", 1.0),
             )
             j = spec.job_id
+            specs[j] = spec
             stepper._release[j] = spec.release
             stepper._work[j] = spec.work
             stepper._caps_all[j] = spec.mode.rate_cap(stepper.m)
             stepper._weights[j] = spec.weight
             stepper._tol[j] = cfg.completion_tol * max(1.0, spec.work)
-            stepper._specs.append(spec)
-            stepper._profiles.append(None)
-            stepper._n += 1
-        for j, r in enumerate(state["rem"]):
-            stepper._rem[j] = r
-        for j, f in enumerate(state["flow"]):
-            stepper._flow[j] = np.nan if f is None else f
+            stepper._rem[j] = raw["rem"]
+        for raw in done:
+            stepper._flow[raw["job_id"]] = raw["flow"]
+        if any(s is None for s in specs):
+            raise FlowSimError("state rows do not cover every job id")
+        stepper._specs = specs
+        stepper._profiles = [None] * n
+        stepper._n = n
         stepper._base = 0
         stepper._act_ids = [int(j) for j in state["act_ids"]]
         stepper._t = float(state["t"])
         stepper._next_arrival = int(state["next_arrival"])
-        stepper._completed = int(state["completed"])
+        stepper._completed = len(done)
         stepper._busy_time = float(state["busy_time"])
         stepper._events = int(state["events"])
         stepper._completions = [
-            (int(j), float(t)) for j, t in state["completions"]
+            (int(raw["job_id"]), float(raw["finish"])) for raw in done
         ]
         stepper._segments = [
             (a, b, {int(k): v for k, v in alloc.items()})

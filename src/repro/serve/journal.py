@@ -1,23 +1,28 @@
 """Write-ahead request journal + periodic snapshots for the server.
 
 Crash safety for :class:`~repro.serve.server.SchedulerServer` rests on
-two files inside one journal directory:
+three files inside one journal directory:
 
 * ``journal.jsonl`` — every state-mutating request (``submit``,
   ``advance``, ``drain``), one JSON object per line, appended *after*
   validation but *before* the engine applies it (write-ahead);
-* ``snapshot.json`` — the most recent full scheduler checkpoint
-  (:func:`~repro.serve.snapshot.snapshot_scheduler`), tagged with the
-  journal sequence number it covers.
+* ``completed.jsonl`` — an append-only log with one row per completed
+  job, in completion order (id, finish time, spec, final remaining work
+  and flow, tenant label).  Each finished job is written exactly once;
+* ``snapshot.json`` — ``{"seq", "settled", "state"}``: the live
+  scheduler state (:func:`~repro.serve.snapshot.snapshot_scheduler` with
+  ``settled=k``), tagged with the journal sequence number it covers and
+  the number ``k`` of ``completed.jsonl`` rows it builds on.
 
-Recovery (:func:`recover`) restores the snapshot if present, then
-replays every journal entry with a later sequence number through
-:func:`apply_entry` — which mirrors the server's own dispatch exactly
-(advance the trace clock to the submission's resolved release, then
-submit).  Because the engine, policy RNG and admission estimator are all
-deterministic given the request sequence, a recovered scheduler is
-*bit-for-bit* identical to one that was never killed; the crash-recovery
-tests assert exactly that on per-job flow times.
+Recovery (:func:`recover`) reads the first ``settled`` completion rows,
+restores the snapshot on top of them, then replays every journal entry
+with a later sequence number through :func:`apply_entry` — which mirrors
+the server's own dispatch exactly (advance the trace clock to the
+submission's resolved release, then submit).  Because the engine, policy
+RNG and admission estimator are all deterministic given the request
+sequence, a recovered scheduler is *bit-for-bit* identical to one that
+was never killed; the crash-recovery tests assert exactly that on
+per-job flow times and the full engine state.
 
 Entries journal the **resolved** request — releases are concrete floats,
 never "now" — so replay does not depend on any clock.  A torn final line
@@ -26,8 +31,12 @@ earlier corruption raises :class:`JournalError` because silently
 skipping interior entries would desynchronize the replayed trajectory.
 
 Snapshots are cut automatically every ``snapshot_every`` appended
-entries: the checkpoint is written atomically (tmp file + rename) and
-the journal is then truncated, bounding both recovery time and disk use.
+entries.  A cut (1) appends the rows of the jobs completed since the
+last cut to ``completed.jsonl``, (2) writes ``snapshot.json`` atomically
+(tmp file + rename), (3) truncates the journal and (4) remembers the
+new row count.  So a cut costs O(live + newly completed jobs), not
+O(jobs ever served).  Rows past ``settled`` can only come from a cut
+that died before its rename; reopening the directory truncates them.
 """
 
 from __future__ import annotations
@@ -43,12 +52,14 @@ __all__ = [
     "JournalError",
     "RequestJournal",
     "apply_entry",
+    "read_completed",
     "read_journal",
     "recover",
 ]
 
 JOURNAL_NAME = "journal.jsonl"
 SNAPSHOT_NAME = "snapshot.json"
+COMPLETED_NAME = "completed.jsonl"
 
 _MUTATING_OPS = ("submit", "advance", "drain")
 
@@ -63,15 +74,16 @@ class RequestJournal:
     Parameters
     ----------
     directory:
-        Journal directory (created if missing).  Holds ``journal.jsonl``
-        and ``snapshot.json``.
+        Journal directory (created if missing).  Holds ``journal.jsonl``,
+        ``completed.jsonl`` and ``snapshot.json``.
     snapshot_every:
         Cut a snapshot (and truncate the journal) after this many
         appended entries; ``0`` disables automatic snapshots.
     fsync:
-        When true, ``fsync`` after every append — survives power loss,
-        not just process death, at a large throughput cost.  The default
-        ``flush`` survives any crash of the serving process itself.
+        When true, ``fsync`` after every append and every cut — survives
+        power loss, not just process death, at a large throughput cost.
+        The default ``flush`` survives any crash of the serving process
+        itself.
     """
 
     def __init__(
@@ -88,9 +100,25 @@ class RequestJournal:
         self.fsync = bool(fsync)
         self.journal_path = self.directory / JOURNAL_NAME
         self.snapshot_path = self.directory / SNAPSHOT_NAME
-        self._seq = _last_seq(self.directory)
+        self.completed_path = self.directory / COMPLETED_NAME
+        snap = _load_snapshot(self.directory)
+        seq = 0 if snap is None else int(snap["seq"])
+        for entry in read_journal(self.directory):
+            seq = max(seq, int(entry["seq"]))
+        self._seq = seq
         self._since_snapshot = _count_entries(self.journal_path)
+        #: completion-log rows the current snapshot builds on, and the
+        #: byte length they span in completed.jsonl
+        self._settled = 0 if snap is None else int(snap.get("settled", 0))
+        self._settled_bytes = sum(
+            len(line) + 1
+            for line in _settled_lines(self.completed_path, self._settled)
+        )
         self._fh = open(self.journal_path, "a", encoding="utf-8")
+        # rows past the settled prefix come from a cut that died before
+        # its rename: no snapshot refers to them
+        self._done_fh = open(self.completed_path, "ab")
+        self._done_fh.truncate(self._settled_bytes)
 
     @property
     def seq(self) -> int:
@@ -118,29 +146,52 @@ class RequestJournal:
     def mark_snapshot(self, scheduler: OnlineScheduler) -> Path:
         """Checkpoint ``scheduler`` now and truncate the journal.
 
-        The snapshot lands atomically (tmp + rename) *before* the journal
-        shrinks, so a crash between the two steps merely replays entries
-        the snapshot already covers — replay is idempotent because
-        recovery skips entries with ``seq <= snapshot.seq``.
+        The rows of jobs completed since the last cut are appended to
+        ``completed.jsonl`` first, then the live state lands atomically
+        (tmp + rename), and only then does the journal shrink.  A crash
+        before the rename leaves the previous snapshot in charge (it
+        ignores the extra rows); a crash between rename and truncate
+        merely replays entries the snapshot already covers — replay is
+        idempotent because recovery skips entries with
+        ``seq <= snapshot.seq``.
         """
-        from repro.serve.snapshot import snapshot_scheduler
+        # looked up per call, so a wrapper installed on the module
+        # (e.g. a profiler's) sees every cut
+        from repro.serve import snapshot
 
-        state = {"seq": self._seq, "state": snapshot_scheduler(scheduler)}
+        state = snapshot.snapshot_scheduler(scheduler, settled=self._settled)
+        done = state["engine"]["done"]
+        state["engine"]["done"] = []
+        settled = self._settled + len(done)
+        rows = "".join(json.dumps(row) + "\n" for row in done).encode()
+        # a cut that failed mid-append may have left a partial tail
+        self._done_fh.truncate(self._settled_bytes)
+        self._done_fh.write(rows)
+        self._done_fh.flush()
+        if self.fsync:
+            os.fsync(self._done_fh.fileno())
         tmp = self.snapshot_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(state))
+        tmp.write_text(
+            json.dumps({"seq": self._seq, "settled": settled, "state": state})
+        )
         if self.fsync:
             with open(tmp, "rb") as fh:
                 os.fsync(fh.fileno())
         tmp.replace(self.snapshot_path)
+        # the rename committed the rows: record that before anything
+        # else can fail
+        self._settled = settled
+        self._settled_bytes += len(rows)
         self._fh.truncate(0)
         self._fh.seek(0)
         self._since_snapshot = 0
         return self.snapshot_path
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
+        for fh in (self._fh, self._done_fh):
+            if not fh.closed:
+                fh.flush()
+                fh.close()
 
     def __enter__(self) -> "RequestJournal":
         return self
@@ -205,11 +256,31 @@ def read_journal(directory: str | Path) -> list[dict]:
     return entries
 
 
+def read_completed(directory: str | Path, settled: int) -> list[dict]:
+    """The first ``settled`` rows of ``completed.jsonl``, in order.
+
+    Raises :class:`JournalError` when fewer complete rows exist or they
+    do not parse — a snapshot never refers to rows that were not flushed
+    before its rename.
+    """
+    lines = _settled_lines(Path(directory) / COMPLETED_NAME, settled)
+    try:
+        # one parse for the whole prefix; rows hold no raw newlines
+        rows = json.loads(b"[" + b",".join(lines) + b"]")
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise JournalError(f"corrupt completion rows: {exc}") from exc
+    if len(rows) != settled:
+        raise JournalError(
+            f"{settled} completion lines parsed to {len(rows)} rows"
+        )
+    return rows
+
+
 def recover(
     directory: str | Path,
     build_empty=None,
 ) -> tuple[OnlineScheduler | None, int, int]:
-    """Rebuild a scheduler from snapshot + journal replay.
+    """Rebuild a scheduler from snapshot + completion rows + journal replay.
 
     Returns ``(scheduler, last_seq, n_replayed)``.  ``scheduler`` is
     ``None`` when the directory holds neither a snapshot nor journal
@@ -219,15 +290,14 @@ def recover(
     from repro.serve.snapshot import restore_scheduler
 
     directory = Path(directory)
-    snap_path = directory / SNAPSHOT_NAME
     scheduler: OnlineScheduler | None = None
     base_seq = 0
-    if snap_path.exists():
-        try:
-            snap = json.loads(snap_path.read_text())
-        except ValueError as exc:
-            raise JournalError(f"corrupt snapshot {snap_path}: {exc}") from exc
-        scheduler = restore_scheduler(snap["state"])
+    snap = _load_snapshot(directory)
+    if snap is not None:
+        # a snapshot written before the completion log has no "settled"
+        settled = int(snap.get("settled", 0))
+        rows = read_completed(directory, settled)
+        scheduler = restore_scheduler(snap["state"], rows)
         base_seq = int(snap["seq"])
     entries = [e for e in read_journal(directory) if e["seq"] > base_seq]
     if scheduler is None:
@@ -255,17 +325,28 @@ def recover(
     return scheduler, last_seq, replayed
 
 
-def _last_seq(directory: Path) -> int:
-    snap_path = directory / SNAPSHOT_NAME
-    seq = 0
-    if snap_path.exists():
-        try:
-            seq = int(json.loads(snap_path.read_text())["seq"])
-        except (ValueError, KeyError):
-            seq = 0
-    for entry in read_journal(directory):
-        seq = max(seq, int(entry["seq"]))
-    return seq
+def _load_snapshot(directory: Path) -> dict | None:
+    path = directory / SNAPSHOT_NAME
+    if not path.exists():
+        return None
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise JournalError(f"corrupt snapshot {path}: {exc}") from exc
+
+
+def _settled_lines(path: Path, settled: int) -> list[bytes]:
+    """The first ``settled`` newline-terminated lines of ``path``."""
+    if not settled:
+        return []
+    data = path.read_bytes() if path.exists() else b""
+    lines = data.split(b"\n", settled)
+    if len(lines) <= settled:
+        raise JournalError(
+            f"{path} holds {len(lines) - 1} complete rows but the "
+            f"snapshot settled {settled}"
+        )
+    return lines[:settled]
 
 
 def _count_entries(path: Path) -> int:

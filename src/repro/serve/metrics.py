@@ -4,8 +4,9 @@ All statistics are over a sliding window of the *simulation* clock
 (``window`` sim-time units): the windowed mean/percentile flow times of
 recently completed jobs, completion throughput, plus monotone lifetime
 counters (submitted / completed / shed).  The window is a deque pruned
-lazily on read, so recording is O(1) amortized and reading is
-O(window size).
+as completions are recorded and again on read, so recording is O(1)
+amortized, reading is O(window size), and the state a snapshot carries
+never outgrows the window.
 
 :meth:`RollingMetrics.to_prometheus` renders the standard text
 exposition format (``# HELP`` / ``# TYPE`` / sample lines) so the
@@ -94,12 +95,22 @@ class RollingMetrics:
     def on_complete(
         self, t: float, flow: float, tenant: str | None = None
     ) -> None:
+        """Record a completion finishing at ``t``.
+
+        Completions arrive in finish order and every read happens at
+        ``now >= t``, so entries older than ``t - window`` can never be
+        read again: dropping them here (from the global deque and the
+        completing tenant's) keeps the deques bounded by the window even
+        when nothing reads, without changing any read.
+        """
         self.completed += 1
-        self._flows.append((float(t), float(flow)))
+        t = float(t)
+        cutoff = t - self.window
+        _append_pruned(self._flows, t, float(flow), cutoff)
         if tenant is not None:
             win = self._tenant(tenant)
             win.completed += 1
-            win.flows.append((float(t), float(flow)))
+            _append_pruned(win.flows, t, float(flow), cutoff)
 
     def prune(self, now: float) -> None:
         """Drop completions older than ``now - window``."""
@@ -264,6 +275,14 @@ class RollingMetrics:
         for name, win in state.get("tenants", {}).items():
             metrics._tenants[name] = _TenantWindow.from_state_dict(win)
         return metrics
+
+
+def _append_pruned(
+    flows: deque[tuple[float, float]], t: float, flow: float, cutoff: float
+) -> None:
+    while flows and flows[0][0] < cutoff:
+        flows.popleft()
+    flows.append((t, flow))
 
 
 def _fmt(x: float) -> str:

@@ -120,11 +120,11 @@ class OnlineScheduler:
     def _from_stepper(
         cls,
         stepper: FlowStepper,
+        tenant_of: list[str | None],
         admission: AdmissionController | None = None,
         metrics: RollingMetrics | None = None,
         offered: int | None = None,
         shed: int = 0,
-        tenant_of: list[str | None] | None = None,
         autoscale_state: dict | None = None,
     ) -> "OnlineScheduler":
         sched = cls.__new__(cls)
@@ -134,11 +134,7 @@ class OnlineScheduler:
         sched._offered = stepper.n_jobs + shed if offered is None else offered
         sched._shed = shed
         sched._pumped = len(stepper.completion_log)
-        sched._tenant_of = (
-            list(tenant_of)
-            if tenant_of is not None
-            else [None] * stepper.n_jobs
-        )
+        sched._tenant_of = tenant_of
         sched._controller = None
         if autoscale_state is not None:
             sched._controller = AutoscaleController.from_state_dict(
@@ -351,7 +347,7 @@ class OnlineScheduler:
 
     @property
     def tenant_labels(self) -> list[str | None]:
-        """Tenant label per accepted job id (a copy, snapshot-friendly)."""
+        """Tenant label per accepted job id (a copy)."""
         return list(self._tenant_of)
 
     def flows_by_tenant(self) -> dict[str, list[float]]:

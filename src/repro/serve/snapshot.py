@@ -8,7 +8,13 @@ that was never interrupted.
 
 Snapshots are a single JSON document (version-tagged), portable across
 processes.  Engine-level state comes from
-:meth:`repro.flowsim.FlowStepper.state_dict`; policy state is captured
+:meth:`repro.flowsim.FlowStepper.state_dict`: one row per job, split into
+completed (``done``) and ``live`` rows, each tagged with its tenant.  The
+request journal cuts with ``settled=k`` and keeps the first ``k``
+completed rows in its own append-only log instead; the standalone
+``snapshot`` op and ``--restore`` file use ``settled=0``, so every row is
+inline.  Version-1 snapshots (the whole job table as parallel lists)
+are upgraded on restore.  Policy state is captured
 generically by encoding the policy's ``__dict__`` with a small tagged
 codec that understands the types scheduler policies actually hold:
 numpy arrays, numpy random generators (via ``bit_generator.state``),
@@ -45,7 +51,7 @@ __all__ = [
     "SnapshotError",
 ]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):
@@ -127,11 +133,21 @@ def _decode_policy(data: dict) -> Policy:
 # -- public API ------------------------------------------------------------
 
 
-def snapshot_scheduler(sched: OnlineScheduler) -> dict:
-    """Full serializable state of a live :class:`OnlineScheduler`."""
+def snapshot_scheduler(sched: OnlineScheduler, settled: int = 0) -> dict:
+    """Serializable state of a live :class:`OnlineScheduler`.
+
+    The engine's job rows (see :meth:`FlowStepper.state_dict`) each carry
+    the job's tenant label.  ``settled`` leaves the rows of the first
+    ``settled`` completions out — the request journal keeps those in its
+    append-only completion log — so a cut costs O(live + newly
+    completed).  The default ``settled=0`` is a self-contained snapshot.
+    """
+    engine = sched.stepper.state_dict(settled)
+    for row in (*engine["done"], *engine["live"]):
+        row["tenant"] = sched.tenant_of(row["job_id"])
     return {
         "version": SNAPSHOT_VERSION,
-        "engine": sched.stepper.state_dict(),
+        "engine": engine,
         "policy": _encode_policy(sched.policy),
         "admission": (
             None if sched.admission is None else sched.admission.state_dict()
@@ -141,21 +157,31 @@ def snapshot_scheduler(sched: OnlineScheduler) -> dict:
         ),
         "offered": sched.n_offered,
         "shed": sched.n_shed,
-        "tenant_of": sched.tenant_labels,
         "autoscale": sched.autoscale_state_dict(),
     }
 
 
-def restore_scheduler(state: dict) -> OnlineScheduler:
-    """Rebuild a scheduler that continues exactly where the snapshot stopped."""
+def restore_scheduler(state: dict, settled_rows=()) -> OnlineScheduler:
+    """Rebuild a scheduler that continues exactly where the snapshot stopped.
+
+    ``settled_rows`` are the completed-job rows a ``settled > 0``
+    snapshot left out, in completion order.
+    """
     version = state.get("version")
-    if version != SNAPSHOT_VERSION:
+    if version == 1:
+        state = _upgrade_v1(state)
+    elif version != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"snapshot version {version!r} not supported "
             f"(expected {SNAPSHOT_VERSION})"
         )
     policy = _decode_policy(state["policy"])
-    stepper = FlowStepper.from_state_dict(state["engine"], policy)
+    engine = state["engine"]
+    stepper = FlowStepper.from_state_dict(engine, policy, settled_rows)
+    tenant_of: list[str | None] = [None] * stepper.n_jobs
+    for rows in (settled_rows, engine["done"], engine["live"]):
+        for row in rows:
+            tenant_of[row["job_id"]] = row["tenant"]
     admission_state = state["admission"]
     if admission_state is None:
         admission = None
@@ -170,15 +196,45 @@ def restore_scheduler(state: dict) -> OnlineScheduler:
     )
     return OnlineScheduler._from_stepper(
         stepper,
+        tenant_of,
         admission=admission,
         metrics=metrics,
         offered=state["offered"],
         shed=state["shed"],
-        # absent in pre-tenancy snapshots — tolerate for forward recovery
-        tenant_of=state.get("tenant_of"),
-        # likewise absent in pre-autoscale snapshots
+        # absent in pre-autoscale snapshots — tolerate for forward recovery
         autoscale_state=state.get("autoscale"),
     )
+
+
+def _upgrade_v1(state: dict) -> dict:
+    """A version-1 snapshot rewritten as version 2 (the input is untouched).
+
+    Version 1 kept the whole job table as parallel ``jobs`` / ``rem`` /
+    ``flow`` lists plus a ``completions`` log, and the tenant labels as
+    one top-level list (absent before tenancy).
+    """
+    engine = state["engine"]
+    jobs, rem, flow = engine["jobs"], engine["rem"], engine["flow"]
+    tenants = state.get("tenant_of") or [None] * len(jobs)
+
+    def row(j: int) -> dict:
+        return {**jobs[j], "rem": rem[j], "tenant": tenants[j]}
+
+    done = [
+        {**row(j), "finish": t, "flow": flow[j]} for j, t in engine["completions"]
+    ]
+    live = [row(j) for j in range(len(jobs)) if flow[j] is None]
+    retired = ("jobs", "rem", "flow", "completions")
+    return {
+        **state,
+        "version": SNAPSHOT_VERSION,
+        "engine": {
+            **{k: v for k, v in engine.items() if k not in retired},
+            "n_jobs": len(jobs),
+            "done": done,
+            "live": live,
+        },
+    }
 
 
 def snapshot_scheduler_file(sched: OnlineScheduler, path: str | Path) -> Path:

@@ -196,7 +196,10 @@ class TestLifecycle:
 
         asyncio.run(with_server(trace_config(m=1), scenario))
         state = json.loads(path.read_text())
-        assert state["version"] == 1
+        assert state["version"] == 2
+        # the snapshot op file is self-contained: every job row is inline
+        engine = state["engine"]
+        assert len(engine["done"]) + len(engine["live"]) == engine["n_jobs"] == 1
 
 
 class TestWallClock:
