@@ -12,7 +12,11 @@
    less you dominate);
 4. runs the identical workload a second time and requires the merged,
    canonically-serialized report to match **byte for byte** — the
-   sharded tier's replay-determinism contract.
+   sharded tier's replay-determinism contract;
+5. boots `drep-sim serve --shards 1 --speed 2 --window 50` and the
+   serial `drep-sim serve --speed 2 --window 50`, replays one trace to
+   each over the wire and requires byte-identical drained flow times —
+   the CLI builds both from one `ServeConfig`, so no flag is dropped.
 
 Exits non-zero (with a message) on any violation.  Needs only the
 package itself — no pytest.
@@ -20,6 +24,11 @@ package itself — no pytest.
 
 from __future__ import annotations
 
+import json
+import os
+import re
+import socket
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -27,10 +36,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.serve.admission import AdmissionConfig  # noqa: E402
 from repro.serve.loadgen import tenant_labels  # noqa: E402
 from repro.serve.shard import build_subprocess_router  # noqa: E402
-from repro.serve.tenancy import TenancyConfig  # noqa: E402
 from repro.workloads.traces import generate_trace  # noqa: E402
 
 SEED = 21
@@ -59,8 +66,10 @@ def run_once(journal_root: Path) -> tuple[dict, bytes]:
         m=2,
         policy="drep",
         seed=SEED,
-        tenancy=TenancyConfig(drf_headroom=1.1),
-        admission_config=AdmissionConfig(max_load=1.0, halflife=5.0),
+        multi_tenant=True,
+        drf_headroom=1.1,
+        max_load=1.0,
+        halflife=5.0,
         snapshot_every=16,
     )
     try:
@@ -78,6 +87,67 @@ def run_once(journal_root: Path) -> tuple[dict, bytes]:
         return merged, router.report_json()
     finally:
         router.close()
+
+
+def cli_flows(*argv: str) -> str:
+    """Drained flow times of one trace replayed to ``drep-sim serve``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        for line in proc.stdout:
+            match = re.search(r"listening on [\d.]+:(\d+)", line)
+            if match:
+                break
+        else:
+            fail(f"serve {' '.join(argv)} exited with {proc.wait()}")
+        with socket.create_connection(
+            ("127.0.0.1", int(match.group(1))), timeout=60
+        ) as sock, sock.makefile("rb") as rfile:
+
+            def call(**request) -> dict:
+                sock.sendall(json.dumps(request).encode() + b"\n")
+                resp = json.loads(rfile.readline())
+                if not resp.get("ok"):
+                    fail(f"serve {' '.join(argv)}: {request['op']}: {resp}")
+                return resp
+
+            for spec in generate_trace(N_JOBS, "finance", 0.7, 4, seed=SEED).jobs:
+                call(op="submit", work=spec.work, span=spec.span,
+                     release=spec.release)
+            drained = call(op="drain", include_flows=True)
+            call(op="shutdown")
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    # the serial server answers flows at the top level, the router inside
+    # its merged report
+    flows = drained.get("flow_times") or drained["result"]["flow_times"]
+    return json.dumps(flows)
+
+
+def check_cli(journal_root: Path) -> None:
+    argv = ("--m", "4", "--policy", "drep", "--seed", str(SEED),
+            "--speed", "2", "--window", "50")
+    serial = cli_flows(*argv)
+    sharded = cli_flows("--shards", "1", "--journal-dir", str(journal_root),
+                        *argv)
+    if sharded != serial:
+        fail("serve --shards 1 drained different flow times than the "
+             "serial serve with the same flags")
+    print(f"cli: serve --shards 1 == serve ({N_JOBS} jobs, speed 2, "
+          "window 50), flow times byte-identical")
 
 
 def main() -> None:
@@ -117,9 +187,11 @@ def main() -> None:
         if blob != blob_b:
             fail("replay mismatch: two identical sharded runs produced "
                  "different merged reports")
+        check_cli(Path(tmp) / "cli")
 
-    print("OK: no tenant starved, shedding tracked dominance, and the "
-          "sharded replay is byte-identical")
+    print("OK: no tenant starved, shedding tracked dominance, the "
+          "sharded replay is byte-identical, and serve --shards 1 drains "
+          "like serve")
 
 
 if __name__ == "__main__":

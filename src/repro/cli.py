@@ -1101,54 +1101,51 @@ def _figures(args: argparse.Namespace) -> int:
     return 0 if rendered else 1
 
 
-def _serve_shards(args: argparse.Namespace) -> int:
-    """Router mode: N journaled engine-shard subprocesses + a frontend."""
+def _serve_shards(args: argparse.Namespace, config) -> int:
+    """Router mode: N journaled engine-shard subprocesses + a frontend.
+
+    ``config`` is both the frontend's listener config and the per-shard
+    template.  Flags the router cannot honor are refused, not dropped.
+    """
     import asyncio
     import tempfile
+    from dataclasses import fields
 
-    from repro.serve.admission import AdmissionConfig
+    from repro.serve.server import ServeConfig
     from repro.serve.shard import ShardFrontend, build_subprocess_router
-    from repro.serve.tenancy import TenancyConfig
 
     if args.shards < 1:
         print("serve: --shards must be >= 1", file=sys.stderr)
         return 2
+    default = ServeConfig()
+    refused = [
+        flag
+        for flag, given in (
+            ("--clock wall", config.clock != default.clock),
+            ("--time-scale", config.time_scale != default.time_scale),
+            ("--restore", args.restore is not None),
+            ("--snapshot-path", config.snapshot_path is not None),
+            (
+                "--autoscale*",
+                any(
+                    getattr(config, f.name) != getattr(default, f.name)
+                    for f in fields(config)
+                    if f.name.startswith("autoscale")
+                ),
+            ),
+        )
+        if given
+    ]
+    if refused:
+        print(
+            f"serve: --shards cannot honor {', '.join(refused)} (the router "
+            "runs the trace clock, without snapshots or autoscale)",
+            file=sys.stderr,
+        )
+        return 2
     journal_root = args.journal_dir or tempfile.mkdtemp(prefix="drep-shards-")
-    tenancy = None
-    if args.multi_tenant or args.credit_rate is not None:
-        tenancy = TenancyConfig(
-            credit_rate=args.credit_rate,
-            credit_burst=args.credit_burst,
-            credit_borrow=args.credit_borrow,
-            drf_headroom=args.drf_headroom,
-        )
-    admission_config = None
-    if (
-        args.max_active is not None
-        or args.max_backlog is not None
-        or args.max_load is not None
-    ):
-        admission_config = AdmissionConfig(
-            max_active=args.max_active,
-            max_backlog=args.max_backlog,
-            max_load=args.max_load,
-        )
-    if admission_config is not None and tenancy is None:
-        # caps without tenancy flags: the multi-tenant controller runs
-        # over the lone "default" tenant, whose soft caps fall back to
-        # base-class shedding — same behavior as the serial server
-        tenancy = TenancyConfig()
     router = build_subprocess_router(
-        args.shards,
-        journal_root,
-        m=args.m,
-        policy=args.policy,
-        seed=args.seed,
-        vnodes=args.vnodes,
-        tenancy=tenancy,
-        admission_config=admission_config,
-        snapshot_every=args.snapshot_every,
-        fsync=args.fsync,
+        args.shards, journal_root, config, vnodes=args.vnodes
     )
 
     supervisor = None
@@ -1170,15 +1167,12 @@ def _serve_shards(args: argparse.Namespace) -> int:
         sup_thread.start()
 
     async def run() -> None:
-        frontend = ShardFrontend(
-            router, host=args.host, port=args.port,
-            max_line_bytes=args.max_line_bytes,
-        )
+        frontend = ShardFrontend(router, config)
         await frontend.start()
         print(
-            f"drep-serve-router listening on {args.host}:{frontend.port} "
+            f"drep-serve-router listening on {config.host}:{frontend.port} "
             f"(shards={args.shards}, m_total={router.m_total}, "
-            f"policy={args.policy}, journal={journal_root}, "
+            f"policy={config.policy}, journal={journal_root}, "
             f"supervise={'on' if supervisor else 'off'})",
             flush=True,
         )
@@ -1201,9 +1195,6 @@ def _serve(args: argparse.Namespace) -> int:
 
     from repro.serve.server import SchedulerServer, ServeConfig
     from repro.serve.snapshot import restore_scheduler_file
-
-    if args.shards is not None:
-        return _serve_shards(args)
 
     config = ServeConfig(
         m=args.m,
@@ -1240,6 +1231,8 @@ def _serve(args: argparse.Namespace) -> int:
         autoscale_displace=not args.autoscale_no_displace,
         autoscale_requeue_delay=args.autoscale_requeue_delay,
     )
+    if args.shards is not None:
+        return _serve_shards(args, config)
     scheduler = None
     if args.restore:
         scheduler = restore_scheduler_file(args.restore)

@@ -29,7 +29,10 @@ Two clock modes:
   released "now".
 
 All engine access is serialized through one asyncio lock — the engine
-itself is the single-machine resource being scheduled.
+itself is the single-machine resource being scheduled.  Framing, the
+op lookup and that lock's overload gate live in
+:class:`JsonLinesListener`, which the sharded tier's
+:class:`repro.serve.shard.ShardFrontend` serves through as well.
 """
 
 from __future__ import annotations
@@ -49,7 +52,12 @@ from repro.serve.online import OnlineScheduler
 from repro.serve.snapshot import snapshot_scheduler_file
 from repro.serve.tenancy import MultiTenantAdmission, TenancyConfig
 
-__all__ = ["ServeConfig", "SchedulerServer", "validate_request"]
+__all__ = [
+    "JsonLinesListener",
+    "SchedulerServer",
+    "ServeConfig",
+    "validate_request",
+]
 
 
 @dataclass(frozen=True)
@@ -159,18 +167,31 @@ class ServeConfig:
             requeue_delay=self.autoscale_requeue_delay,
         )
 
-    def build_scheduler(self) -> OnlineScheduler:
-        admission = None
-        admission_config = AdmissionConfig(
+    def build_admission(self, m: int, router: bool = False):
+        """The admission layer these fields ask for, sized to ``m`` processors.
+
+        The one place admission is built: :meth:`build_scheduler` sizes it
+        to the engine, the shard builders to the fleet (Σ shard m).  A
+        router admits by tenant, so with ``router=True`` a cap alone also
+        yields :class:`MultiTenantAdmission`, over the lone default tenant,
+        which sheds exactly like the single-machine controller.  ``None``
+        when no cap or tenancy field is set.
+        """
+        caps = AdmissionConfig(
             max_active=self.max_active,
             max_backlog=self.max_backlog,
             max_load=self.max_load,
             halflife=self.halflife,
         )
-        if self.tenant_aware:
-            admission = MultiTenantAdmission(
-                admission_config,
-                self.m,
+        capped = (
+            self.max_active is not None
+            or self.max_backlog is not None
+            or self.max_load is not None
+        )
+        if self.tenant_aware or (router and capped):
+            return MultiTenantAdmission(
+                caps,
+                m,
                 tenancy=TenancyConfig(
                     credit_rate=self.credit_rate,
                     credit_burst=self.credit_burst,
@@ -178,52 +199,34 @@ class ServeConfig:
                     drf_headroom=self.drf_headroom,
                 ),
             )
-        elif (
-            self.max_active is not None
-            or self.max_backlog is not None
-            or self.max_load is not None
-        ):
-            admission = AdmissionController(admission_config, self.m)
+        return AdmissionController(caps, m) if capped else None
+
+    def build_scheduler(self) -> OnlineScheduler:
         return OnlineScheduler(
             m=self.m,
             policy=policy_by_name(self.policy),
             seed=self.seed,
             config=FlowSimConfig(speed=self.speed, max_events=None),
-            admission=admission,
+            admission=self.build_admission(self.m),
             metrics=RollingMetrics(window=self.window),
             autoscale=self.autoscale_config(),
         )
 
 
-class SchedulerServer:
-    """The serving loop around one :class:`OnlineScheduler`.
+class JsonLinesListener:
+    """One asyncio JSON-lines listener: framing, parsing, op table, gate.
 
-    ``scheduler`` overrides the one built from ``config`` — that is the
-    restore-from-snapshot path (``drep-sim serve --restore``).
+    The serial :class:`SchedulerServer` and the sharded
+    :class:`repro.serve.shard.ShardFrontend` both serve through this
+    class.  ``config`` supplies the host, port, ``max_line_bytes``,
+    ``max_pending`` and ``request_timeout``.  A subclass supplies its op
+    table as ``_op_<name>(request) -> dict`` methods, which run
+    synchronously with the lock held, and releases its backend in
+    :meth:`close`.  Every listener answers ``shutdown``.
     """
 
-    def __init__(
-        self, config: ServeConfig, scheduler: OnlineScheduler | None = None
-    ) -> None:
+    def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self._journal: RequestJournal | None = None
-        self.recovered_seq = 0
-        self.recovered_entries = 0
-        if config.journal_dir is not None:
-            if scheduler is None:
-                scheduler, seq, replayed = journal_recover(
-                    config.journal_dir, build_empty=config.build_scheduler
-                )
-                self.recovered_seq = seq
-                self.recovered_entries = replayed
-            self._journal = RequestJournal(
-                config.journal_dir,
-                snapshot_every=config.snapshot_every,
-                fsync=config.fsync,
-            )
-        self.scheduler = (
-            scheduler if scheduler is not None else config.build_scheduler()
-        )
         self._lock = asyncio.Lock()
         self._pending = 0
         self._shed_requests = 0
@@ -231,9 +234,6 @@ class SchedulerServer:
         self._bad_lines = 0
         self._server: asyncio.base_events.Server | None = None
         self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
-        self._ticker: asyncio.Task | None = None
-        self._wall_origin: float | None = None
-        self._sim_origin = 0.0
         self._stopped = asyncio.Event()
 
     # -- lifecycle ---------------------------------------------------------
@@ -251,24 +251,12 @@ class SchedulerServer:
             self.config.port,
             limit=self.config.max_line_bytes,
         )
-        if self.config.clock == "wall":
-            loop = asyncio.get_running_loop()
-            self._wall_origin = loop.time()
-            self._sim_origin = self.scheduler.now
-            self._ticker = asyncio.create_task(self._tick_forever())
 
     async def wait_closed(self) -> None:
         """Block until a ``shutdown`` op (or :meth:`stop`) ends the server."""
         await self._stopped.wait()
 
     async def stop(self) -> None:
-        if self._ticker is not None:
-            self._ticker.cancel()
-            try:
-                await self._ticker
-            except asyncio.CancelledError:
-                pass
-            self._ticker = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -280,20 +268,11 @@ class SchedulerServer:
             writer.close()
         await asyncio.gather(*self._clients, return_exceptions=True)
         self._clients.clear()
-        if self._journal is not None:
-            self._journal.close()
+        self.close()
         self._stopped.set()
 
-    def _wall_now(self) -> float:
-        assert self._wall_origin is not None
-        elapsed = asyncio.get_running_loop().time() - self._wall_origin
-        return self._sim_origin + elapsed * self.config.time_scale
-
-    async def _tick_forever(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.tick)
-            async with self._lock:
-                self.scheduler.advance_to(self._wall_now())
+    def close(self) -> None:
+        """Release the backend behind the op table (journal, shards)."""
 
     # -- request handling --------------------------------------------------
 
@@ -337,26 +316,22 @@ class SchedulerServer:
             self._bad_lines += 1
             return {"ok": False, "error": f"bad request: {exc}"}
         req_id = request.get("id")
-        try:
-            response = await self._dispatch(request)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — one request, one error
-            # a single bad request must never take the server (or even
-            # the connection) down; everything surfaces as a structured
-            # error the client can correlate by id
-            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        handler = self._handler(request)
+        response = (
+            _unknown_op(request)
+            if handler is None
+            else await self._dispatch(handler, request)
+        )
         if req_id is not None:
             response["id"] = req_id
         return response
 
-    async def _dispatch(self, request: dict) -> dict:
+    def _handler(self, request: dict):
+        """The op method ``request`` names, or ``None`` for an unknown op."""
         op = request.get("op")
-        handler = (
-            getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
-        )
-        if op is None or handler is None:
-            return {"ok": False, "error": f"unknown op {op!r}"}
+        return getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
+
+    async def _dispatch(self, handler, request: dict) -> dict:
         cfg = self.config
         if cfg.max_pending is not None and self._pending >= cfg.max_pending:
             self._shed_requests += 1
@@ -388,11 +363,120 @@ class SchedulerServer:
                     "timed_out": True,
                 }
             try:
-                return handler(request)
+                return _guarded(handler, request)
             finally:
                 self._lock.release()
         finally:
             self._pending -= 1
+
+    def call(self, request: dict) -> dict:
+        """Answer one request in process, without socket or gate.
+
+        The same op lookup and error guard as a request off the wire;
+        :class:`repro.serve.shard.LocalShard` serves through this.
+        """
+        handler = self._handler(request)
+        if handler is None:
+            return _unknown_op(request)
+        return _guarded(handler, request)
+
+    def _listener_stats(self) -> dict:
+        return {
+            # exclude the stats request itself from the gauge
+            "pending": max(0, self._pending - 1),
+            "shed_requests": self._shed_requests,
+            "timed_out_requests": self._timed_out_requests,
+            "bad_lines": self._bad_lines,
+        }
+
+    def _op_shutdown(self, request: dict) -> dict:
+        asyncio.get_running_loop().call_soon(
+            lambda: asyncio.ensure_future(self.stop())
+        )
+        return {"ok": True, "bye": True}
+
+
+def _unknown_op(request: dict) -> dict:
+    return {"ok": False, "error": f"unknown op {request.get('op')!r}"}
+
+
+def _guarded(handler, request: dict) -> dict:
+    try:
+        return handler(request)
+    except Exception as exc:  # noqa: BLE001 — one request, one error
+        # a single bad request must never take the server (or even the
+        # connection) down; everything surfaces as a structured error
+        # the client can correlate by id
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+class SchedulerServer(JsonLinesListener):
+    """The serving loop around one :class:`OnlineScheduler`.
+
+    ``scheduler`` overrides the one built from ``config`` — that is the
+    restore-from-snapshot path (``drep-sim serve --restore``).
+    """
+
+    def __init__(
+        self, config: ServeConfig, scheduler: OnlineScheduler | None = None
+    ) -> None:
+        super().__init__(config)
+        self._journal: RequestJournal | None = None
+        self.recovered_seq = 0
+        self.recovered_entries = 0
+        if config.journal_dir is not None:
+            if scheduler is None:
+                scheduler, seq, replayed = journal_recover(
+                    config.journal_dir, build_empty=config.build_scheduler
+                )
+                self.recovered_seq = seq
+                self.recovered_entries = replayed
+            self._journal = RequestJournal(
+                config.journal_dir,
+                snapshot_every=config.snapshot_every,
+                fsync=config.fsync,
+            )
+        self.scheduler = (
+            scheduler if scheduler is not None else config.build_scheduler()
+        )
+        self._ticker: asyncio.Task | None = None
+        self._wall_origin: float | None = None
+        self._sim_origin = 0.0
+
+    # -- lifecycle ---------------------------------------------------------
+
+    async def start(self) -> None:
+        await super().start()
+        if self.config.clock == "wall":
+            loop = asyncio.get_running_loop()
+            self._wall_origin = loop.time()
+            self._sim_origin = self.scheduler.now
+            self._ticker = asyncio.create_task(self._tick_forever())
+
+    async def stop(self) -> None:
+        if self._ticker is not None:
+            self._ticker.cancel()
+            try:
+                await self._ticker
+            except asyncio.CancelledError:
+                pass
+            self._ticker = None
+        await super().stop()
+
+    def close(self) -> None:
+        if self._journal is not None:
+            self._journal.close()
+
+    def _wall_now(self) -> float:
+        assert self._wall_origin is not None
+        elapsed = asyncio.get_running_loop().time() - self._wall_origin
+        return self._sim_origin + elapsed * self.config.time_scale
+
+    async def _tick_forever(self) -> None:
+        while True:
+            await asyncio.sleep(self.config.tick)
+            async with self._lock:
+                self.scheduler.advance_to(self._wall_now())
 
     # -- journal plumbing (called with the lock held) ----------------------
 
@@ -480,13 +564,7 @@ class SchedulerServer:
         if self.config.clock == "wall":
             self.scheduler.advance_to(self._wall_now())
         stats = self.scheduler.stats()
-        stats["server"] = {
-            # exclude this stats request itself from the gauge
-            "pending": max(0, self._pending - 1),
-            "shed_requests": self._shed_requests,
-            "timed_out_requests": self._timed_out_requests,
-            "bad_lines": self._bad_lines,
-        }
+        stats["server"] = self._listener_stats()
         if self._journal is not None:
             stats["server"]["journal_seq"] = self._journal.seq
         return {"ok": True, "stats": stats}
@@ -561,12 +639,6 @@ class SchedulerServer:
     def _op_ping(self, request: dict) -> dict:
         return {"ok": True, "now": self.scheduler.now}
 
-    def _op_shutdown(self, request: dict) -> dict:
-        asyncio.get_running_loop().call_soon(
-            lambda: asyncio.ensure_future(self.stop())
-        )
-        return {"ok": True, "bye": True}
-
 
 def _numeric(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -630,8 +702,7 @@ async def read_line(
     line longer than ``max_line_bytes`` (the reader's ``limit``; the rest
     of the line is discarded so the stream stays framed), and
     ``(None, None)`` at EOF.  One bad line never costs the connection.
-    Both JSON-lines listeners — :class:`SchedulerServer` and the sharded
-    :class:`repro.serve.shard.ShardFrontend` — read through this.
+    :class:`JsonLinesListener` reads every request through this.
     """
     try:
         return await reader.readuntil(b"\n"), None

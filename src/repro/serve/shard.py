@@ -54,21 +54,21 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.rng import derive_seed
 from repro.serve.loadgen import retry_delay
-from repro.serve.admission import AdmissionConfig, AdmissionDecision
+from repro.serve.admission import AdmissionDecision
 from repro.serve.server import (
+    JsonLinesListener,
     SchedulerServer,
     ServeConfig,
-    encode_response,
-    read_line,
     validate_request,
 )
-from repro.serve.tenancy import DEFAULT_TENANT, MultiTenantAdmission, TenancyConfig
+from repro.serve.tenancy import DEFAULT_TENANT, MultiTenantAdmission
 
 __all__ = [
     "HashRing",
@@ -154,12 +154,13 @@ class HashRing:
 
 
 class LocalShard:
-    """In-process shard: an unstarted server dispatched directly.
+    """In-process shard: an unstarted server answered directly.
 
-    The handle shares the server's op handlers (``_op_submit`` etc.)
-    without a socket, so router logic can be tested at full speed with
-    exactly the semantics — including journaling, when the config has a
-    ``journal_dir`` — that the subprocess path exercises.
+    Requests go through :meth:`SchedulerServer.call` — the op lookup and
+    error guard of a request off the wire, without a socket — so router
+    logic can be tested at full speed with exactly the semantics —
+    including journaling, when the config has a ``journal_dir`` — that
+    the subprocess path exercises.
     """
 
     def __init__(self, name: str, config: ServeConfig) -> None:
@@ -172,18 +173,16 @@ class LocalShard:
         return self._server.scheduler
 
     def call(self, request: dict) -> dict:
-        op = request.get("op")
-        handler = getattr(self._server, f"_op_{op}", None)
-        if handler is None or op in ("shutdown",):
-            return {"ok": False, "error": f"unsupported shard op {op!r}"}
-        try:
-            return handler(request)
-        except Exception as exc:  # noqa: BLE001 — mirror the server's guard
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        if request.get("op") == "shutdown":
+            return {"ok": False, "error": "unsupported shard op 'shutdown'"}
+        return self._server.call(request)
+
+    def ping(self) -> bool:
+        """Health check: one ``ping`` round trip, failure = unhealthy."""
+        return bool(self.call({"op": "ping"}).get("ok"))
 
     def close(self) -> None:
-        if self._server._journal is not None:
-            self._server._journal.close()
+        self._server.close()
 
 
 class SubprocessShard:
@@ -208,9 +207,7 @@ class SubprocessShard:
         sleep=time.sleep,
     ) -> None:
         if config.journal_dir is None:
-            config = ServeConfig(
-                **{**_config_kwargs(config), "journal_dir": str(journal_dir)}
-            )
+            config = replace(config, journal_dir=str(journal_dir))
         self.name = name
         self.config = config
         self.journal_dir = Path(journal_dir)
@@ -439,12 +436,6 @@ class SubprocessShard:
         self.drain_process()
 
 
-def _config_kwargs(config: ServeConfig) -> dict:
-    from dataclasses import fields
-
-    return {f.name: getattr(config, f.name) for f in fields(config)}
-
-
 # -- the router ------------------------------------------------------------
 
 
@@ -624,13 +615,7 @@ class ShardRouter:
 
     def ping_all(self) -> dict[str, bool]:
         """Health-check every shard (subprocess shards may be dead)."""
-        out = {}
-        for name, shard in self.shards.items():
-            if hasattr(shard, "ping"):
-                out[name] = shard.ping()
-            else:
-                out[name] = bool(shard.call({"op": "ping"}).get("ok"))
-        return out
+        return {name: shard.ping() for name, shard in self.shards.items()}
 
     def stats(self) -> dict:
         """Aggregate counters plus per-shard and per-tenant breakdowns."""
@@ -841,232 +826,176 @@ class ShardSupervisor:
         }
 
 
-class ShardFrontend:
-    """Asyncio JSON-lines listener in front of a :class:`ShardRouter`.
+class ShardFrontend(JsonLinesListener):
+    """The JSON-lines listener in front of a :class:`ShardRouter`.
 
-    Speaks the same framing as :class:`~repro.serve.server.SchedulerServer`
-    with the router-level op set: ``hello``, ``submit`` (with ``tenant``
-    and optional ``key``), ``advance``, ``stats``, ``tenants``, ``ping``,
-    ``drain`` (the merged report) and ``shutdown``.  A request line over
-    ``max_line_bytes`` is answered with a ``line too long`` error and
-    skipped, exactly as the serial server does.  Router calls block
-    briefly on shard sockets; requests are serialized, which is also
-    what keeps the routing log deterministic.
+    Framing, the ``max_pending`` / ``request_timeout`` gate, the
+    ``bad_lines`` count and ``shutdown`` are
+    :class:`~repro.serve.server.JsonLinesListener`'s, shared with the
+    serial server; ``config`` supplies the host, port and those limits
+    (default: an ephemeral port on localhost).  The op table is the
+    router's: ``hello``, ``submit`` (with ``tenant`` and optional
+    ``key``), ``advance``, ``stats``, ``tenants``, ``ping`` and ``drain``
+    (the merged report).  Router calls block briefly on shard sockets;
+    requests are serialized, which is also what keeps the routing log
+    deterministic.
     """
 
     def __init__(
-        self,
-        router: ShardRouter,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_line_bytes: int = ServeConfig.max_line_bytes,
+        self, router: ShardRouter, config: ServeConfig | None = None
     ) -> None:
-        if max_line_bytes < 64:
-            raise ValueError("max_line_bytes must be >= 64")
+        super().__init__(config if config is not None else ServeConfig(port=0))
         self.router = router
-        self.host = host
-        self._requested_port = port
-        self.max_line_bytes = max_line_bytes
-        self._server = None
-        self._stopped = None
 
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "frontend not started"
-        return self._server.sockets[0].getsockname()[1]
+    def close(self) -> None:
+        self.router.close()
 
-    async def start(self) -> None:
-        import asyncio
+    def _op_hello(self, request: dict) -> dict:
+        router = self.router
+        return {
+            "ok": True,
+            "service": "drep-serve-router",
+            "shards": len(router.shards),
+            # "m" = fleet capacity: what single-server clients (e.g.
+            # loadgen's load calibration) expect to find in a hello
+            "m": router.m_total,
+            "m_total": router.m_total,
+            "seed": router.seed,
+            "now": router.now,
+            "multi_tenant": router.admission is not None,
+        }
 
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle,
-            self.host,
-            self._requested_port,
-            limit=self.max_line_bytes,
+    def _op_submit(self, request: dict) -> dict:
+        return self.router.submit(
+            work=request.get("work"),
+            span=request.get("span"),
+            mode=request.get("mode", "sequential"),
+            weight=request.get("weight", 1.0),
+            release=request.get("release"),
+            tenant=request.get("tenant"),
+            key=request.get("key"),
         )
 
-    async def wait_closed(self) -> None:
-        assert self._stopped is not None
-        await self._stopped.wait()
+    def _op_advance(self, request: dict) -> dict:
+        self.router.advance_to(validate_request(request)["to"])
+        return {"ok": True, "now": self.router.now}
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self.router.close()
-        if self._stopped is not None:
-            self._stopped.set()
+    def _op_stats(self, request: dict) -> dict:
+        stats = self.router.stats()
+        stats["server"] = self._listener_stats()
+        return {"ok": True, "stats": stats}
 
-    async def _handle(self, reader, writer) -> None:
-        try:
-            while True:
-                line, early_error = await read_line(reader, self.max_line_bytes)
-                if line is None and early_error is None:
-                    break  # clean EOF
-                response = early_error or self._dispatch(line)
-                writer.write(encode_response(response))
-                await writer.drain()
-                if response.get("bye"):
-                    import asyncio
-
-                    asyncio.get_running_loop().call_soon(
-                        lambda: asyncio.ensure_future(self.stop())
-                    )
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-
-    def _dispatch(self, line: bytes) -> dict:
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            return {"ok": False, "error": f"bad request: {exc}"}
-        req_id = request.get("id")
-        try:
-            response = self._apply(request)
-        except Exception as exc:  # noqa: BLE001 — one request, one error
-            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        if req_id is not None:
-            response["id"] = req_id
-        return response
-
-    def _apply(self, request: dict) -> dict:
+    def _op_tenants(self, request: dict) -> dict:
         router = self.router
-        op = request.get("op")
-        if op == "hello":
-            return {
-                "ok": True,
-                "service": "drep-serve-router",
-                "shards": len(router.shards),
-                # "m" = fleet capacity: what single-server clients (e.g.
-                # loadgen's load calibration) expect to find in a hello
-                "m": router.m_total,
-                "m_total": router.m_total,
-                "seed": router.seed,
-                "now": router.now,
-                "multi_tenant": router.admission is not None,
-            }
-        if op == "submit":
-            return router.submit(
-                work=request.get("work"),
-                span=request.get("span"),
-                mode=request.get("mode", "sequential"),
-                weight=request.get("weight", 1.0),
-                release=request.get("release"),
-                tenant=request.get("tenant"),
-                key=request.get("key"),
-            )
-        if op == "advance":
-            router.advance_to(validate_request(request)["to"])
-            return {"ok": True, "now": router.now}
-        if op == "stats":
-            return {"ok": True, "stats": router.stats()}
-        if op == "tenants":
-            if router.admission is None:
-                raise ValueError("router has no multi-tenant admission")
-            return {
-                "ok": True,
-                "now": router.now,
-                "tenants": router.admission.tenant_stats(router.now),
-            }
-        if op == "ping":
-            return {"ok": True, "now": router.now, "shards": router.ping_all()}
-        if op == "drain":
-            report = router.drain()
-            out = {"ok": True, "now": router.now, "result": report}
-            if not request.get("include_flows"):
-                out["result"] = {
-                    k: v for k, v in report.items() if k != "flow_times"
-                }
-            return out
-        if op == "shutdown":
-            return {"ok": True, "bye": True}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+        if router.admission is None:
+            raise ValueError("router has no multi-tenant admission")
+        return {
+            "ok": True,
+            "now": router.now,
+            "tenants": router.admission.tenant_stats(router.now),
+        }
+
+    def _op_ping(self, request: dict) -> dict:
+        router = self.router
+        return {"ok": True, "now": router.now, "shards": router.ping_all()}
+
+    def _op_drain(self, request: dict) -> dict:
+        report = self.router.drain()
+        if not request.get("include_flows"):
+            report = {k: v for k, v in report.items() if k != "flow_times"}
+        return {"ok": True, "now": self.router.now, "result": report}
+
+
+def _shard_configs(
+    n_shards: int, template: ServeConfig, journal_root: str | Path | None
+) -> list[ServeConfig]:
+    """Per-shard configs: the template on each shard's seed and journal.
+
+    Shard ``i`` runs on :func:`shard_seed` of ``(seed, i)`` and journals
+    under ``journal_root/shard-<i>`` when a root is given.  Shards run
+    admission-free on localhost: the router admits each job once,
+    against the whole fleet.
+    """
+    if n_shards < 1:
+        raise ValueError("n_shards must be >= 1")
+    bare = replace(
+        template,
+        host=ServeConfig.host,
+        max_active=None,
+        max_backlog=None,
+        max_load=None,
+        multi_tenant=False,
+        credit_rate=None,
+    )
+    return [
+        replace(
+            bare,
+            seed=shard_seed(template.seed, i),
+            journal_dir=(
+                None
+                if journal_root is None
+                else str(Path(journal_root) / f"shard-{i}")
+            ),
+        )
+        for i in range(n_shards)
+    ]
+
+
+def _router(shards: list, template: ServeConfig, vnodes: int) -> ShardRouter:
+    admission = template.build_admission(len(shards) * template.m, router=True)
+    return ShardRouter(
+        shards, seed=template.seed, vnodes=vnodes, admission=admission
+    )
 
 
 def build_local_router(
     n_shards: int,
-    m: int = 8,
-    policy: str = "drep",
-    seed: int = 0,
+    config: ServeConfig | None = None,
+    *,
     vnodes: int = 64,
-    tenancy: TenancyConfig | None = None,
-    admission_config: AdmissionConfig | None = None,
     journal_root: str | Path | None = None,
+    **fields,
 ) -> ShardRouter:
-    """Convenience constructor: N in-process shards + router admission.
+    """N in-process shards behind a router.
 
-    Shard ``i`` is named ``shard/<i>``, runs on :func:`shard_seed` of
-    ``(seed, i)``, and journals under ``journal_root/shard-<i>`` when a
-    root is given.  Router admission is built whenever ``tenancy`` or
-    ``admission_config`` is provided, sized to the fleet (N × m).
+    ``config``, with ``fields`` replaced on it, is the template every
+    shard runs (see :func:`_shard_configs`); shard ``i`` is named
+    ``shard/<i>``.  Its cap and tenancy fields build the router's
+    admission, sized to the fleet (N × m).
     """
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    shards = []
-    for i in range(n_shards):
-        journal_dir = (
-            None
-            if journal_root is None
-            else str(Path(journal_root) / f"shard-{i}")
+    template = replace(config if config is not None else ServeConfig(), **fields)
+    shards = [
+        LocalShard(f"shard/{i}", shard_config)
+        for i, shard_config in enumerate(
+            _shard_configs(n_shards, template, journal_root)
         )
-        config = ServeConfig(
-            m=m,
-            policy=policy,
-            seed=shard_seed(seed, i),
-            journal_dir=journal_dir,
-        )
-        shards.append(LocalShard(f"shard/{i}", config))
-    admission = None
-    if tenancy is not None or admission_config is not None:
-        admission = MultiTenantAdmission(
-            admission_config or AdmissionConfig(),
-            m=n_shards * m,
-            tenancy=tenancy or TenancyConfig(),
-        )
-    return ShardRouter(shards, seed=seed, vnodes=vnodes, admission=admission)
+    ]
+    return _router(shards, template, vnodes)
 
 
 def build_subprocess_router(
     n_shards: int,
     journal_root: str | Path,
-    m: int = 8,
-    policy: str = "drep",
-    seed: int = 0,
+    config: ServeConfig | None = None,
+    *,
     vnodes: int = 64,
-    tenancy: TenancyConfig | None = None,
-    admission_config: AdmissionConfig | None = None,
-    snapshot_every: int = 256,
-    fsync: bool = False,
+    **fields,
 ) -> ShardRouter:
     """Spawn N journaled ``drep-sim serve`` subprocesses behind a router.
 
-    Same naming/seed/admission discipline as :func:`build_local_router`;
-    ``journal_root`` is mandatory because the journal *is* a subprocess
-    shard's crash-recovery story.  Shards that fail to start are torn
-    down before the error propagates.
+    Same template, naming, seed and admission discipline as
+    :func:`build_local_router`; ``journal_root`` is mandatory because the
+    journal *is* a subprocess shard's crash-recovery story.  Shards that
+    fail to start are torn down before the error propagates.
     """
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
+    template = replace(config if config is not None else ServeConfig(), **fields)
     shards: list[SubprocessShard] = []
     try:
-        for i in range(n_shards):
-            config = ServeConfig(
-                m=m,
-                policy=policy,
-                seed=shard_seed(seed, i),
-                journal_dir=str(Path(journal_root) / f"shard-{i}"),
-                snapshot_every=snapshot_every,
-                fsync=fsync,
-            )
+        for i, shard_config in enumerate(
+            _shard_configs(n_shards, template, journal_root)
+        ):
             shard = SubprocessShard(
-                f"shard/{i}", config, config.journal_dir
+                f"shard/{i}", shard_config, shard_config.journal_dir
             )
             # registered before start(): a child that spawned but failed
             # mid-start (e.g. the connect raised) must still be torn down
@@ -1076,11 +1005,4 @@ def build_subprocess_router(
         for shard in shards:
             shard.kill()
         raise
-    admission = None
-    if tenancy is not None or admission_config is not None:
-        admission = MultiTenantAdmission(
-            admission_config or AdmissionConfig(),
-            m=n_shards * m,
-            tenancy=tenancy or TenancyConfig(),
-        )
-    return ShardRouter(shards, seed=seed, vnodes=vnodes, admission=admission)
+    return _router(shards, template, vnodes)

@@ -35,7 +35,6 @@ from repro.serve.shard import (
     build_local_router,
     shard_seed,
 )
-from repro.serve.tenancy import TenancyConfig
 from repro.workloads.traces import generate_trace
 
 
@@ -158,7 +157,7 @@ def _run_sharded_once(n_shards: int = 3, seed: int = 11) -> bytes:
     jobs = generate_trace(45, "finance", 0.7, 4, seed=seed).jobs
     tenants = tenant_labels(len(jobs), 3, "zipf:1.0", seed=seed)
     with build_local_router(
-        n_shards, m=2, policy="drep", seed=seed, tenancy=TenancyConfig()
+        n_shards, m=2, policy="drep", seed=seed, multi_tenant=True
     ) as router:
         _submit_trace(router, jobs, tenants)
         router.drain()
@@ -175,7 +174,7 @@ def test_merged_report_reassembles_tenants_in_submission_order():
     jobs = generate_trace(40, "finance", 0.7, 4, seed=5).jobs
     tenants = tenant_labels(len(jobs), 3, "zipf:1.2", seed=5)
     with build_local_router(
-        3, m=2, policy="drep", seed=5, tenancy=TenancyConfig()
+        3, m=2, policy="drep", seed=5, multi_tenant=True
     ) as router:
         shard_of: dict[str, set[str]] = {}
         for spec, tenant in zip(jobs, tenants):
@@ -294,10 +293,14 @@ def _line(request: dict) -> bytes:
 def test_refused_submit_charges_no_tenant():
     """A submit the validator refuses never reaches router admission, so
     the tenant's queue slot is not leaked."""
-    frontend = ShardFrontend(build_local_router(1, tenancy=TenancyConfig()))
+    frontend = ShardFrontend(build_local_router(1, multi_tenant=True))
     for work in (1.0, -1.0, 2.0):
-        frontend._dispatch(
-            _line({"op": "submit", "work": work, "tenant": "a", "release": 0.0})
+        asyncio.run(
+            frontend._dispatch_line(
+                _line(
+                    {"op": "submit", "work": work, "tenant": "a", "release": 0.0}
+                )
+            )
         )
     router = frontend.router
     stats = router.admission.tenant_stats(router.now)["a"]
@@ -323,8 +326,8 @@ def test_frontend_refuses_what_the_server_refuses(fields):
     request = {"op": "submit", "tenant": "a", **fields}
     server = SchedulerServer(ServeConfig(m=2, multi_tenant=True))
     expected = asyncio.run(server._dispatch_line(_line(request)))
-    frontend = ShardFrontend(build_local_router(1, tenancy=TenancyConfig()))
-    got = frontend._dispatch(_line(request))
+    frontend = ShardFrontend(build_local_router(1, multi_tenant=True))
+    got = asyncio.run(frontend._dispatch_line(_line(request)))
     assert expected["ok"] is False
     assert got == expected
     assert frontend.router.admission.tenant_stats(0.0) == {}
@@ -332,7 +335,9 @@ def test_frontend_refuses_what_the_server_refuses(fields):
 
 def test_frontend_advance_requires_numeric_to():
     frontend = ShardFrontend(build_local_router(1))
-    got = frontend._dispatch(_line({"op": "advance", "to": True}))
+    got = asyncio.run(
+        frontend._dispatch_line(_line({"op": "advance", "to": True}))
+    )
     assert got == {
         "ok": False,
         "error": "ValueError: advance requires a numeric 'to'",

@@ -14,7 +14,6 @@ import pytest
 
 from repro.serve.loadgen import tenant_labels
 from repro.serve.shard import build_subprocess_router
-from repro.serve.tenancy import TenancyConfig
 from repro.workloads.traces import generate_trace
 
 pytestmark = pytest.mark.slow
@@ -38,7 +37,7 @@ def _run(journal_root, crash: bool) -> bytes:
         m=2,
         policy="drep",
         seed=SEED,
-        tenancy=TenancyConfig(),
+        multi_tenant=True,
         snapshot_every=8,
     )
     routed_to: set[str] = set()
