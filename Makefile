@@ -2,10 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-compare bench-json trajectory-gate sweep-smoke serve-smoke serve-state-smoke faults-smoke shard-smoke autoscale-smoke stream-smoke scaling-smoke perfbench-selftest figures report examples clean
-
-# perf-trajectory entry number for `make bench-json` (BENCH_$(PR).json)
-PR ?= 10
+.PHONY: install test bench bench-smoke sweep-smoke serve-smoke serve-state-smoke faults-smoke shard-smoke autoscale-smoke stream-smoke scaling-smoke perfbench-selftest figures report examples clean
 
 install:
 	pip install -e '.[test]'
@@ -21,26 +18,6 @@ bench:
 
 bench-smoke:
 	REPRO_BENCH_SCALE=0.05 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# full-size throughput suite -> BENCH_$(PR).json perf-trajectory entry
-bench-json:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --pr $(PR)
-
-# semantic drift gate (also a CI step): run the suite fresh at full
-# scale and diff it against the committed baseline entry -- any `events`
-# change on a shared case means a frozen workload's behavior moved, and
-# the target exits non-zero.  Timing ratios are printed but not gated.
-BASELINE ?= BENCH_10.json
-bench-compare:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --repeats 1 --out /tmp/BENCH_fresh.json
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --compare $(BASELINE) /tmp/BENCH_fresh.json --require-drift
-
-# committed-trajectory gate: the two checked-in entries around the batch
-# kernel must agree on every shared case's `events` (frozen workloads),
-# and the newer one must carry the calibration case so its speedups stay
-# drift-normalizable
-trajectory-gate:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --compare BENCH_9.json BENCH_10.json --require-drift
 
 # run a small experiment grid serially and through the process pool and
 # require byte-identical rows (the grid runner's determinism contract)

@@ -22,8 +22,12 @@ Thresholds:
   behavior without pretending the floor away (docs/performance.md has
   the full table).
 
-Exits non-zero on the first violated bound.  Needs only the package —
-no pytest.
+The ladder also pins its summed event count (``EVENTS``, at seed
+``SEED``): the staircase workload is frozen, so any other count means
+the event loop changed what it counts, not how fast it runs.
+
+Exits non-zero on a violated bound or a moved event count.  Needs only
+the package — no pytest.
 """
 
 from __future__ import annotations
@@ -38,12 +42,23 @@ from repro.perf.scaling import measure_scaling  # noqa: E402
 
 LADDER = (100, 1_000, 10_000)
 BOUNDS = {"srpt": 0.5, "sjf": 0.5, "fifo": 0.5, "laps": 0.85}
+SEED = 311
+EVENTS = 82_112
 
 
 def main() -> int:
     print(f"# scaling smoke — staircase ladder {LADDER}, incremental kernels")
-    results = measure_scaling(LADDER, tuple(BOUNDS), repeats=2)
+    results = measure_scaling(LADDER, tuple(BOUNDS), repeats=2, seed=SEED)
     status = 0
+    events = sum(p["events"] for r in results.values() for p in r["points"])
+    print(f"summed ladder events {events} (pinned {EVENTS})")
+    if events != EVENTS:
+        print(
+            f"scaling smoke: the frozen ladder ran {events} events, "
+            f"pinned {EVENTS}",
+            file=sys.stderr,
+        )
+        status = 1
     for key, bound in BOUNDS.items():
         r = results[key]
         exp = r["exponent"]

@@ -4,8 +4,10 @@
 Pushes 100k generated jobs through `simulate_stream` without ever
 materializing the trace and requires the process peak RSS (via
 `resource.getrusage`) to stay under a ceiling far below what the dense
-arrays for that trace would need.  Then spot-checks the wsim streaming
-driver and the `drep-sim stream` CLI on the sanitized SWF fixture.
+arrays for that trace would need.  Then runs a frozen 10^6-job stream
+and pins its exact event count and mean flow, and spot-checks the wsim
+streaming driver and the `drep-sim stream` CLI on the sanitized SWF
+fixture.
 
 This is the bounded-RAM contract in the exact form users rely on: a
 stream of n jobs must cost O(active jobs), not O(n).  Exits non-zero on
@@ -26,6 +28,11 @@ N_JOBS = 100_000
 #: generous for CI noise (interpreter + numpy alone are ~50 MB) yet far
 #: below a materialized 100k-job trace with per-job result arrays
 RSS_CEILING_MB = 400.0
+
+#: the frozen million-job stream (seed 309) and its exact results
+MILLION_SEED = 309
+MILLION_EVENTS = 2_000_000
+MILLION_MEAN_FLOW = 16.73782247236193
 
 
 def fail(msg: str) -> None:
@@ -69,6 +76,24 @@ def main() -> None:
     print(
         f"stream-smoke: flowsim {N_JOBS} jobs, mean_flow="
         f"{res.mean_flow:.4f}, peak RSS {after_flowsim:.1f} MB"
+    )
+
+    # -- flowsim: the frozen 10^6-job stream, pinned bit for bit -------
+    big = simulate_stream(
+        generate_stream(10**6, "exponential", 0.8, 16, seed=MILLION_SEED),
+        16,
+        policy_by_name("srpt"),
+        seed=MILLION_SEED,
+    )
+    got = (int(big.extra["events"]), big.mean_flow)
+    if got != (MILLION_EVENTS, MILLION_MEAN_FLOW):
+        fail(
+            f"10^6-job stream ran (events, mean_flow) = {got}, pinned "
+            f"{(MILLION_EVENTS, MILLION_MEAN_FLOW)}"
+        )
+    print(
+        f"stream-smoke: flowsim 10^6 jobs, events={got[0]}, "
+        f"mean_flow={got[1]!r} (pinned), peak RSS {rss_mb():.1f} MB"
     )
 
     # -- wsim: lazy DAG attachment feeding the work-stealing runtime ----

@@ -10,8 +10,6 @@ Installed as ``drep-sim``.  Examples::
     drep-sim report --out report.md --flow-jobs 5000
     drep-sim serve --m 8 --policy drep --port 8071
     drep-sim loadgen --port 8071 --n-jobs 1000 --load 0.7 --verify
-    drep-sim bench --pr 2            # writes BENCH_2.json
-    drep-sim bench --scale 0.05      # CI smoke sizing, print only
 
 Each subcommand prints the corresponding figure's series as a table
 (mean flow time per scheduler over the swept parameter).  Sizes default
@@ -394,51 +392,6 @@ def main(argv: list[str] | None = None) -> int:
         help="tenant skew 'zipf:a' — a=0 uniform, larger = hotter t0",
     )
 
-    p11 = sub.add_parser(
-        "bench",
-        help="throughput suite; optionally writes the BENCH_<pr>.json trajectory",
-    )
-    p11.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="job-count multiplier (default: $REPRO_BENCH_SCALE or 1.0)",
-    )
-    p11.add_argument("--repeats", type=int, default=3)
-    p11.add_argument(
-        "--pr",
-        type=int,
-        default=None,
-        help="perf-trajectory entry number; writes BENCH_<pr>.json",
-    )
-    p11.add_argument(
-        "--out", default=None, help="explicit output path (overrides --pr naming)"
-    )
-    p11.add_argument(
-        "--cases", nargs="+", default=None, help="subset of bench case names"
-    )
-    p11.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        default=None,
-        help="compare two trajectory entries (PR numbers or BENCH_*.json "
-        "paths) instead of running the suite; prints per-case speedups",
-    )
-    p11.add_argument(
-        "--require-drift",
-        action="store_true",
-        help="with --compare: fail unless the NEW entry carries the "
-        "calibration case (machine-drift normalization)",
-    )
-    p11.add_argument(
-        "--profile",
-        action="store_true",
-        help="add one untimed cProfile pass per case; writes "
-        "<case>.cprofile.txt top-20 cumulative listings next to the "
-        "BENCH json (or into ./bench_profiles when not writing one)",
-    )
-
     p12 = sub.add_parser(
         "faults",
         help="resilience experiment: policies under crash traces vs baseline",
@@ -616,8 +569,6 @@ def main(argv: list[str] | None = None) -> int:
         return _serve(args)
     if args.command == "loadgen":
         return _loadgen(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "faults":
         return _faults(args)
     if args.command == "autoscale":
@@ -805,167 +756,6 @@ def _autoscale(args: argparse.Namespace) -> int:
     return 0 if unacc == 0.0 else 1
 
 
-def _load_bench_entry(ref: str) -> dict:
-    """Resolve ``--compare`` operand: a path, or a PR number in the trajectory."""
-    import json
-    from pathlib import Path
-
-    from repro.perf import load_trajectory
-
-    path = Path(ref)
-    if path.suffix == ".json" or path.exists():
-        return json.loads(path.read_text())
-    try:
-        pr = int(ref)
-    except ValueError:
-        raise SystemExit(f"bench --compare: {ref!r} is neither a file nor a PR number")
-    entries = {e["pr"]: e for e in load_trajectory()}
-    if pr not in entries:
-        raise SystemExit(
-            f"bench --compare: no BENCH_{pr}.json in trajectory "
-            f"(have PRs {sorted(entries)})"
-        )
-    return entries[pr]
-
-
-def _bench_compare(old_ref: str, new_ref: str, require_drift: bool = False) -> int:
-    """Print per-case speedup ratios between two trajectory entries."""
-    from repro.perf import CALIBRATION_CASE, drift_factor
-
-    old, new = _load_bench_entry(old_ref), _load_bench_entry(new_ref)
-    ob, nb = old.get("benches", {}), new.get("benches", {})
-    if require_drift and CALIBRATION_CASE not in nb:
-        # the NEW entry must carry the calibration case so future
-        # comparisons can normalize machine drift; the OLD side may
-        # legitimately predate it
-        print(
-            f"bench --compare: --require-drift set but {new_ref!r} has no "
-            f"'{CALIBRATION_CASE}' case — its speedups can never be "
-            "drift-normalized",
-            file=sys.stderr,
-        )
-        return 1
-    shared = [name for name in nb if name in ob]
-    if not shared:
-        print("bench --compare: the two entries share no case names", file=sys.stderr)
-        return 1
-    drift = drift_factor(old, new)
-    print(
-        f"# bench compare — PR {old.get('pr', '?')} -> PR {new.get('pr', '?')} "
-        f"(scale {old.get('scale', '?')} -> {new.get('scale', '?')})"
-    )
-    if drift is not None:
-        print(
-            f"# machine drift (calibration case): {drift:.3f}x "
-            f"{'slower' if drift > 1 else 'faster'} — 'norm' = speedup x drift"
-        )
-    else:
-        print(
-            "# no calibration case in both entries; speedups are raw "
-            "(machine drift not normalized out)"
-        )
-    def _mem_mb(row: dict) -> "float | None":
-        perf = row.get("perf") or {}
-        v = perf.get("peak_rss_mb")
-        return float(v) if v else None
-
-    header = f"{'case':18s} {'old wall_s':>10s} {'new wall_s':>10s} {'speedup':>8s}"
-    if drift is not None:
-        header += f" {'norm':>8s}"
-    header += f" {'old MB':>7s} {'new MB':>7s}"
-    print(header + "  events")
-    status = 0
-    for name in shared:
-        o, n = ob[name], nb[name]
-        ratio = o["wall_s"] / n["wall_s"] if n["wall_s"] > 0 else float("inf")
-        note = ""
-        if o.get("events") != n.get("events"):
-            # frozen workloads: differing event counts mean the comparison
-            # is across a semantic change, not a perf delta
-            note = f"  EVENTS CHANGED {o.get('events')} -> {n.get('events')}"
-            status = 1
-        line = (
-            f"{name:18s} {o['wall_s']:10.4f} {n['wall_s']:10.4f} "
-            f"{ratio:7.2f}x"
-        )
-        if drift is not None:
-            line += f" {ratio * drift:7.2f}x"
-        o_mem, n_mem = _mem_mb(o), _mem_mb(n)
-        line += f" {o_mem:7.0f}" if o_mem is not None else f" {'-':>7s}"
-        line += f" {n_mem:7.0f}" if n_mem is not None else f" {'-':>7s}"
-        print(f"{line}  {n.get('events')}{note}")
-    # incremental-kernel evidence: structure counters and fitted scaling
-    # exponents, where a row recorded them (PR 10's order/calendar core)
-    inc_keys = ("order_ops", "calendar_pops", "calendar_invalidations")
-    for name in sorted(nb):
-        perf = nb[name].get("perf") or {}
-        counters = {k: perf[k] for k in inc_keys if k in perf}
-        exponents = {
-            k: perf[k] for k in sorted(perf) if k.startswith("exponent_")
-        }
-        if counters or exponents:
-            parts = [f"{k}={v}" for k, v in counters.items()]
-            parts += [
-                f"{k.removeprefix('exponent_')}^{v}" for k, v in exponents.items()
-            ]
-            print(f"# {name}: {' '.join(parts)}")
-    only_old = sorted(set(ob) - set(nb))
-    only_new = sorted(set(nb) - set(ob))
-    if only_old:
-        print(f"only in old: {', '.join(only_old)}")
-    if only_new:
-        print(f"only in new: {', '.join(only_new)}")
-    return status
-
-
-def _bench(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.perf import (
-        BENCH_CASES,
-        run_bench_suite,
-        trajectory_entry,
-        write_trajectory,
-    )
-
-    if args.compare is not None:
-        return _bench_compare(*args.compare, require_drift=args.require_drift)
-    scale = args.scale
-    if scale is None:
-        scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    cases = BENCH_CASES
-    if args.cases:
-        by_name = {c.name: c for c in BENCH_CASES}
-        unknown = sorted(set(args.cases) - set(by_name))
-        if unknown:
-            print(
-                f"bench: unknown case(s) {', '.join(unknown)}; "
-                f"available: {', '.join(by_name)}",
-                file=sys.stderr,
-            )
-            return 2
-        cases = tuple(by_name[name] for name in args.cases)
-    print(f"# drep-sim bench — scale={scale:g}, repeats={args.repeats}")
-    profile_dir = None
-    if args.profile:
-        from pathlib import Path
-
-        out = args.out or (f"BENCH_{args.pr}.json" if args.pr is not None else None)
-        profile_dir = str(Path(out).resolve().parent) if out else "bench_profiles"
-    rows = run_bench_suite(
-        scale=scale, repeats=args.repeats, cases=cases, progress=print,
-        profile_dir=profile_dir,
-    )
-    if args.out is not None or args.pr is not None:
-        entry = trajectory_entry(
-            rows, pr=args.pr if args.pr is not None else 0,
-            scale=scale, repeats=args.repeats,
-        )
-        path = write_trajectory(args.out or f"BENCH_{args.pr}.json", entry)
-        print(f"wrote {path}")
-    return 0
-
-
 def _stream(args: argparse.Namespace) -> int:
     """Bounded-RAM streamed run: SWF replay or lazy synthetic generator."""
     import json as _json
@@ -1106,8 +896,12 @@ def _serve_shards(args: argparse.Namespace, config) -> int:
 
     ``config`` is both the frontend's listener config and the per-shard
     template.  Flags the router cannot honor are refused, not dropped.
+    Without ``--journal-dir`` the shards journal into a temp directory
+    that is removed on exit, SIGTERM included.
     """
     import asyncio
+    import shutil
+    import signal
     import tempfile
     from dataclasses import fields
 
@@ -1143,50 +937,67 @@ def _serve_shards(args: argparse.Namespace, config) -> int:
             file=sys.stderr,
         )
         return 2
-    journal_root = args.journal_dir or tempfile.mkdtemp(prefix="drep-shards-")
-    router = build_subprocess_router(
-        args.shards, journal_root, config, vnodes=args.vnodes
-    )
+    temp_root = None
+    if args.journal_dir is None:
+        temp_root = tempfile.mkdtemp(prefix="drep-shards-")
+    journal_root = args.journal_dir or temp_root
 
-    supervisor = None
+    def terminate(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous_sigterm = signal.signal(signal.SIGTERM, terminate)
+    router = None
     stop_event = None
     sup_thread = None
-    if args.supervise:
-        import threading
-
-        from repro.serve.shard import ShardSupervisor
-
-        supervisor = ShardSupervisor(router)
-        stop_event = threading.Event()
-        sup_thread = threading.Thread(
-            target=supervisor.run,
-            kwargs={"interval": args.supervise_interval, "stop": stop_event},
-            name="shard-supervisor",
-            daemon=True,
-        )
-        sup_thread.start()
-
-    async def run() -> None:
-        frontend = ShardFrontend(router, config)
-        await frontend.start()
-        print(
-            f"drep-serve-router listening on {config.host}:{frontend.port} "
-            f"(shards={args.shards}, m_total={router.m_total}, "
-            f"policy={config.policy}, journal={journal_root}, "
-            f"supervise={'on' if supervisor else 'off'})",
-            flush=True,
-        )
-        await frontend.wait_closed()
-
     try:
-        asyncio.run(run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        router.close()
+        router = build_subprocess_router(
+            args.shards, journal_root, config, vnodes=args.vnodes
+        )
+        supervisor = None
+        if args.supervise:
+            import threading
+
+            from repro.serve.shard import ShardSupervisor
+
+            supervisor = ShardSupervisor(router)
+            stop_event = threading.Event()
+            sup_thread = threading.Thread(
+                target=supervisor.run,
+                kwargs={
+                    "interval": args.supervise_interval,
+                    "stop": stop_event,
+                },
+                name="shard-supervisor",
+                daemon=True,
+            )
+            sup_thread.start()
+
+        async def run() -> None:
+            frontend = ShardFrontend(router, config)
+            await frontend.start()
+            print(
+                f"drep-serve-router listening on {config.host}:{frontend.port} "
+                f"(shards={args.shards}, m_total={router.m_total}, "
+                f"policy={config.policy}, journal={journal_root}, "
+                f"supervise={'on' if supervisor else 'off'})",
+                flush=True,
+            )
+            await frontend.wait_closed()
+
+        try:
+            asyncio.run(run())
+        except KeyboardInterrupt:  # pragma: no cover - interactive
+            pass
     finally:
         if stop_event is not None:
             stop_event.set()
         if sup_thread is not None:
             sup_thread.join(timeout=2.0)
+        if router is not None:
+            router.close()  # a no-op for shards a shutdown op already drained
+        signal.signal(signal.SIGTERM, previous_sigterm)
+        if temp_root is not None:
+            shutil.rmtree(temp_root, ignore_errors=True)
     return 0
 
 
@@ -1354,7 +1165,10 @@ def _loadgen(args: argparse.Namespace) -> int:
             print("verify ok: online == offline flowsim.simulate "
                   f"(max |Δflow| = {report.max_abs_diff:.3g})")
         if args.verify and report.verified is None:
-            print("verify skipped: wall-clock server (releases not replayable)")
+            print(
+                "verify skipped: wall-clock or multi-shard server "
+                "(no single-machine replay)"
+            )
         return 0
 
     try:

@@ -46,6 +46,7 @@ changes.  ``ScheduleResult.extra["perf"]`` reports what the caches did
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -157,34 +158,29 @@ class FlowSimConfig:
     while removing four full array passes from the steady-state hot loop;
     tests that exercise the checks directly set ``check_every_k=1``.
 
-    ``use_incremental`` enables the O(log n) order backing of the event
-    loop for policies that declare an
-    :class:`~repro.flowsim.policies.base.OrderSpec`: the engine maintains
-    their priority order incrementally across admissions / completions /
-    fault evictions (:class:`repro.flowsim.order.OrderIndex`), allocates
-    rates by walking only the O(m) order head (or the O(beta n) LAPS
-    share set), and picks the next completion from a lazy-invalidation
-    calendar (:class:`repro.flowsim.order.CompletionCalendar`) instead
-    of the dense finish-time sweep — per-event work then scales with the
-    *change*, not with ``n_active``.  Bit-for-bit identical to the dense
-    backing by construction (goldens plus the incremental≡dense
-    Hypothesis suite pin it); ``False`` keeps the dense ``np.lexsort``
-    backing, which is mainly useful for equivalence testing and A/B
-    benches.
-
-    ``incremental_min_active`` is the promotion threshold for that
-    backing: the run starts on the dense buffers and switches to the
-    incremental structures the first time the active set reaches this
-    many jobs (one O(n log n) build from the live buffers; promotion is
-    one-way).  Below a thousand-odd active jobs one C-speed
-    ``np.lexsort`` per event beats Python-level order maintenance, so
-    promoting immediately would *slow down* low-concurrency runs — the
-    default sits just under the measured crossover (~1.5k for SRPT and
-    FIFO alike).  ``0`` promotes at construction (the pure-incremental
-    mode the scaling benches and the equivalence suite measure).  The
-    switch is unobservable in results: both backings are bit-for-bit
-    equal, so a promoted run composes two identical trajectory
-    prefixes.
+    ``incremental_min_active`` selects the backing of the event loop for
+    policies that declare an
+    :class:`~repro.flowsim.policies.base.OrderSpec`.  The run starts on
+    the dense buffers (one ``np.lexsort`` per rate rebuild, a dense
+    finish-time sweep per event) and switches to the O(log n) order
+    backing the first time the active set reaches this many jobs: the
+    engine then maintains the policy's priority order incrementally
+    across admissions / completions / fault evictions
+    (:class:`repro.flowsim.order.OrderIndex`), allocates rates by walking
+    only the O(m) order head (or the O(beta n) LAPS share set), and picks
+    the next completion from a lazy-invalidation calendar
+    (:class:`repro.flowsim.order.CompletionCalendar`), so per-event work
+    scales with the *change*, not with ``n_active``.  Promotion is one
+    O(n log n) build from the live buffers and is one-way.  Below a
+    thousand-odd active jobs one C-speed ``np.lexsort`` per event beats
+    Python-level order maintenance, so the default sits just under the
+    measured crossover (~1.5k for SRPT and FIFO alike).  ``0`` promotes
+    at construction (the pure-incremental mode the scaling ladder and
+    the equivalence suite measure); a value no run reaches, such as
+    ``10**9``, keeps the dense backing throughout.  The switch is
+    unobservable in results: both backings are bit-for-bit equal (goldens
+    plus the incremental≡dense Hypothesis suite pin it), so a promoted
+    run composes two identical trajectory prefixes.
 
     Every other execution choice — the vectorized ``rates_array`` hook
     versus ``rates(view)``, sparse rate patches, the sparse segment
@@ -198,7 +194,6 @@ class FlowSimConfig:
     use_profiles: bool = False
     record_segments: bool = False
     check_every_k: int = 32
-    use_incremental: bool = True
     incremental_min_active: int = 1024
 
     def __post_init__(self) -> None:
@@ -502,8 +497,7 @@ class FlowStepper:
         self._inc: _IncrementalCore | None = None
         self._inc_spec = None
         if (
-            cfg.use_incremental
-            and spec is not None
+            spec is not None
             and self._rates_array_fn is not None
             and not self._has_timer
             and not self._use_profiles
@@ -1876,7 +1870,6 @@ class FlowStepper:
                 "use_profiles": self.config.use_profiles,
                 "record_segments": self.config.record_segments,
                 "check_every_k": self.config.check_every_k,
-                "use_incremental": self.config.use_incremental,
                 "incremental_min_active": self.config.incremental_min_active,
             },
             "t": self._t,
@@ -1907,11 +1900,12 @@ class FlowStepper:
         is handing us a mid-run policy, and resetting it would wipe
         exactly what a checkpoint is meant to preserve).
         """
-        # snapshots written before the event loop was unified carry two
-        # retired knobs; they selected execution paths, never results
+        # older snapshots carry retired knobs; they selected execution
+        # paths, never results, so restore drops every key the config no
+        # longer has
+        known = {f.name for f in dataclasses.fields(FlowSimConfig)}
         cfg = FlowSimConfig(**{
-            k: v for k, v in state["config"].items()
-            if k not in ("use_rates_array", "use_batch_horizon")
+            k: v for k, v in state["config"].items() if k in known
         })
         stepper = cls.__new__(cls)
         stepper.m = int(state["m"])

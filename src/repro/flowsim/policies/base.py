@@ -30,7 +30,7 @@ class OrderSpec:
     policy's allocation from ``(inserted, removed, decremented)`` deltas
     — the sparse, incremental complement of the dense
     ``np.lexsort``-based :meth:`Policy.rates_array` the policy keeps as
-    its ``use_incremental=False`` fallback.
+    its dense-backing path (below ``incremental_min_active``).
 
     ``key`` names the per-job sort key: ``"remaining"`` (SRPT — the
     engine re-keys served jobs after every segment, the *decremented*

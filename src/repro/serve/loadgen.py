@@ -567,8 +567,10 @@ def _verify_against_offline(
     from repro.flowsim.engine import FlowSimConfig, simulate
     from repro.flowsim.policies import policy_by_name
 
-    if hello.get("clock") != "trace":
-        report.verified = None  # wall clock ⇒ releases are not replayable
+    if hello.get("clock") != "trace" or hello.get("shards", 1) > 1:
+        # wall clock ⇒ releases are not replayable; N > 1 shards are N
+        # machines, not the single machine a batch replay simulates
+        report.verified = None
         return
     offline = simulate(
         _accepted_trace(accepted_specs, name),
@@ -577,7 +579,10 @@ def _verify_against_offline(
         seed=int(hello["seed"]),
         config=FlowSimConfig(speed=float(hello.get("speed", 1.0))),
     )
-    online_flows = np.asarray(drain_resp["flow_times"], dtype=float)
+    flows = drain_resp.get("flow_times")
+    if flows is None:  # the router nests flows in its merged report
+        flows = drain_resp["result"]["flow_times"]
+    online_flows = np.asarray(flows, dtype=float)
     if online_flows.shape != offline.flow_times.shape:
         report.verified = False
         report.max_abs_diff = float("inf")

@@ -303,6 +303,7 @@ class SubprocessShard:
                         return int(match.group(1))
         self._proc.kill()
         self._proc.wait(timeout=self.start_timeout)
+        self._proc.stdout.close()
         raise ShardError(f"shard {self.name} did not report a port")
 
     def _connect(self) -> None:
@@ -334,7 +335,7 @@ class SubprocessShard:
         if self._proc is not None:
             self._proc.send_signal(signal.SIGKILL)
             self._proc.wait(timeout=self.start_timeout)
-            self._proc = None
+            self._forget_proc()
         self._drop_connection()
 
     def reap(self) -> None:
@@ -348,7 +349,7 @@ class SubprocessShard:
             if self._proc.poll() is None:
                 raise ShardError(f"shard {self.name} is still running")
             self._proc.wait()
-            self._proc = None
+            self._forget_proc()
         self._drop_connection()
 
     def restart(self) -> dict:
@@ -384,7 +385,7 @@ class SubprocessShard:
                         if self._proc.poll() is None:
                             self._proc.kill()
                         self._proc.wait()
-                        self._proc = None
+                        self._forget_proc()
                     self._drop_connection()
                     if attempt < self.max_restart_attempts:
                         self._sleep(
@@ -422,6 +423,11 @@ class SubprocessShard:
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait(timeout=self.start_timeout)
+        self._forget_proc()
+
+    def _forget_proc(self) -> None:
+        """Close an exited child's stdout pipe and drop its handle."""
+        self._proc.stdout.close()
         self._proc = None
 
     def _drop_connection(self) -> None:
@@ -852,6 +858,8 @@ class ShardFrontend(JsonLinesListener):
 
     def _op_hello(self, request: dict) -> dict:
         router = self.router
+        # every shard runs the same template on its own seed and journal
+        template = next(iter(router.shards.values())).config
         return {
             "ok": True,
             "service": "drep-serve-router",
@@ -861,6 +869,11 @@ class ShardFrontend(JsonLinesListener):
             "m": router.m_total,
             "m_total": router.m_total,
             "seed": router.seed,
+            # the router always runs the trace clock: clients stamp
+            # releases, and advance moves every shard
+            "clock": "trace",
+            "policy_key": template.policy,
+            "speed": template.speed,
             "now": router.now,
             "multi_tenant": router.admission is not None,
         }

@@ -1,12 +1,12 @@
 """Property tests: incremental order/calendar kernels ≡ dense lexsort path.
 
-``use_incremental=True`` (the default) lets order-driven policies (SRPT,
-SJF/SWF, FIFO, LAPS) run on the engine-maintained
+``incremental_min_active=0`` promotes order-driven policies (SRPT,
+SJF/SWF, FIFO, LAPS) at construction onto the engine-maintained
 :class:`~repro.flowsim.order.OrderIndex` and
 :class:`~repro.flowsim.order.CompletionCalendar` instead of re-sorting
 the whole active set and scanning every remaining-work entry per event;
-``False`` forces the classic dense ``np.lexsort`` + full next-event
-scan.  These tests generate random instances with Hypothesis and require
+a threshold no run reaches (``10**9``) keeps the classic dense
+``np.lexsort`` + full next-event scan.  These tests generate random instances with Hypothesis and require
 the two executions to agree *exactly* — per-job flow times at full float
 precision, event/switch counters, utilization — across policies, check
 cadences, fault plans, streaming chunkings, and horizon-stepped runs.
@@ -42,7 +42,8 @@ _spec.loader.exec_module(gen_goldens)
 #: every policy publishing an order_spec (the incremental-eligible set)
 ORDER_POLICIES = ["srpt", "sjf", "swf", "fifo", "laps"]
 
-DENSE = FlowSimConfig(use_incremental=False)
+#: a promotion threshold no instance reaches keeps the dense backing
+DENSE = FlowSimConfig(incremental_min_active=10**9)
 #: promote at construction — the instances here are far below the
 #: default ``incremental_min_active`` crossover threshold, which would
 #: otherwise (correctly) keep them on the dense path and make the
@@ -112,7 +113,7 @@ def test_incremental_equals_dense_under_check_k(inst, policy_idx, k):
         m,
         policy,
         seed=5,
-        config=FlowSimConfig(check_every_k=k, use_incremental=False),
+        config=FlowSimConfig(check_every_k=k, incremental_min_active=10**9),
     )
     assert inc == dense
 
@@ -278,8 +279,8 @@ def test_promotion_threshold_defers_structures():
 # -- satellite (c): empty-active-set step under mass eviction ------------
 
 
-@pytest.mark.parametrize("use_incremental", [True, False])
-def test_mass_eviction_empties_active_set_then_parks(use_incremental):
+@pytest.mark.parametrize("incremental", [True, False])
+def test_mass_eviction_empties_active_set_then_parks(incremental):
     """A crash window that swallows every processor while aborts drain
     the whole active set must leave the engine parked at the next
     arrival — not raising, not spinning — on both paths.
@@ -306,9 +307,7 @@ def test_mass_eviction_empties_active_set_then_parks(use_incremental):
         ),
         name="blackout+abort",
     )
-    config = FlowSimConfig(
-        use_incremental=use_incremental, incremental_min_active=0
-    )
+    config = FlowSimConfig(incremental_min_active=0 if incremental else 10**9)
     stepper = FlowStepper(
         2, policy_by_name("srpt"), seed=0, config=config, faults=plan
     )
@@ -337,7 +336,7 @@ def test_heavy_churn_staircase_10k_active():
     results = {}
     for label, config in (
         ("inc", FlowSimConfig()),
-        ("dense", FlowSimConfig(use_incremental=False)),
+        ("dense", DENSE),
     ):
         r = simulate_stream(
             _staircase(n, work), m, policy_by_name("fifo"), seed=0,

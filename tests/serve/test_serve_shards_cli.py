@@ -8,9 +8,11 @@ router cannot honor exit 2 with a message instead of being dropped.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro import cli
+from repro.serve.loadgen import replay_over_wire
 from repro.workloads.traces import generate_trace
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -81,8 +84,8 @@ def test_shards_forward_engine_and_listener_flags(monkeypatch, tmp_path):
 class _Served:
     """One ``drep-sim serve`` process on an ephemeral port."""
 
-    def __init__(self, *argv: str) -> None:
-        env = dict(os.environ)
+    def __init__(self, *argv: str, **env_overrides: str) -> None:
+        env = {**os.environ, **env_overrides}
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (SRC, env.get("PYTHONPATH")) if p
         )
@@ -108,9 +111,16 @@ class _Served:
         self.sock.sendall(json.dumps(request).encode() + b"\n")
         return json.loads(self.rfile.readline())
 
-    def close(self) -> None:
+    @property
+    def port(self) -> int:
+        return self.sock.getpeername()[1]
+
+    def close(self, how: str = "shutdown") -> None:
         try:
-            self.call(op="shutdown")
+            if how == "shutdown":
+                self.call(op="shutdown")
+            else:
+                self.proc.send_signal(signal.SIGTERM)
         finally:
             self.rfile.close()
             self.sock.close()
@@ -156,3 +166,53 @@ def test_one_shard_drains_like_the_serial_server(tmp_path):
     )
     assert serial[0] == 2.0  # work 8 on one processor at speed 4
     assert json.dumps(sharded) == json.dumps(serial)
+
+
+def _loadgen(served: _Served, trace):
+    return asyncio.run(
+        replay_over_wire("127.0.0.1", served.port, trace, verify=True)
+    )
+
+
+@pytest.mark.slow
+def test_loadgen_verifies_one_shard_like_the_serial_server(tmp_path):
+    """The router's hello names its clock, policy and speed, so loadgen
+    stamps releases and ``--verify`` replays them offline."""
+    argv = ("--m", "4", "--policy", "srpt", "--speed", "2")
+    trace = generate_trace(50, "finance", 0.7, 4, seed=5)
+    reports = {}
+    for label, extra in (
+        ("serial", ()),
+        ("sharded", ("--shards", "1", "--journal-dir", str(tmp_path))),
+    ):
+        served = _Served(*extra, *argv)
+        try:
+            hello = served.call(op="hello")
+            assert (hello["clock"], hello["policy_key"], hello["speed"]) == (
+                "trace", "srpt", 2.0,
+            )
+            reports[label] = _loadgen(served, trace)
+        finally:
+            served.close()
+    # both sides equal the same offline replay exactly, so each other
+    for report in reports.values():
+        assert report.accepted == 50
+        assert report.verified is True, report.summary()
+        assert report.max_abs_diff == 0.0
+    assert reports["sharded"].drain_summary["mean_flow"] == pytest.approx(
+        reports["serial"].drain_summary["mean_flow"], rel=1e-12
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("how", ["shutdown", "sigterm"])
+def test_shards_remove_their_temp_journal_on_exit(tmp_path, how):
+    """Without ``--journal-dir`` the router journals into a temp
+    directory of its own, and removes it however it is stopped."""
+    served = _Served("--shards", "1", "--m", "2", TMPDIR=str(tmp_path))
+    try:
+        assert served.call(op="submit", work=1.0, release=0.0)["accepted"]
+        assert [p.name[:12] for p in tmp_path.iterdir()] == ["drep-shards-"]
+    finally:
+        served.close(how)
+    assert list(tmp_path.iterdir()) == []

@@ -257,8 +257,9 @@ def test_await_port_honors_start_timeout_for_a_silent_child(tmp_path):
     with pytest.raises(ShardError, match="did not report a port"):
         shard._await_port()
     assert time.monotonic() - t0 < 5.0
-    # the silent child was reaped, not orphaned
+    # the silent child was reaped, not orphaned, and its pipe closed
     assert shard._proc.returncode is not None
+    assert shard._proc.stdout.closed
 
 
 @pytest.mark.slow
@@ -281,6 +282,7 @@ def test_build_subprocess_router_reaps_partially_started_shards(
     assert len(spawned) == 1
     # wait() returns promptly only because the kill loop reached it
     assert spawned[0].wait(timeout=10) is not None
+    assert spawned[0].stdout.closed
 
 
 # -- one submit validator for both request paths ----------------------------

@@ -8,6 +8,8 @@ every attempt) is asserted on recorded values instead of wall-clock.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,7 @@ class _DeadProc:
     def __init__(self, code: int = -9) -> None:
         self.code = code
         self.waited = False
+        self.stdout = io.StringIO()  # the child's captured stdout pipe
 
     def poll(self):
         return self.code
@@ -65,6 +68,7 @@ class TestReap:
         shard._proc = proc
         shard.reap()
         assert proc.waited
+        assert proc.stdout.closed
         assert shard._proc is None
 
     def test_reap_refuses_live_child(self, tmp_path):
